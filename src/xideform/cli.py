@@ -21,11 +21,13 @@ from .funceq import IdentityId, candidate_zeros, sample_convergent_rho, verify
 from .gaussmat import RhoMatrix
 from .ode_solutions import a_pm, canonical_decomposition
 from .quadrature import QuadSpec
-from .xi_core import xi, xi_sum_m, xi_tilde
+from .xi_core import xi, xi_sum_m, xi_tilde, xi_tilde_sum_m
 from .xi_multi import MultiXiParams, xi_d
 
 _NUM = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
 _TERM = rf"(?:{_NUM})?(?:π|pi)?"
+# a command-line value that begins like a negative number: '-0.5:1:3', '-1+2i', '-πi'
+_NEGATIVE = re.compile(r"-(?:[0-9.]|π|pi|i)")
 
 
 def _term_value(text: str) -> float:
@@ -148,17 +150,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_VERIFY_PARAMS = {
-    "telescope": ("rho", "s"),
-    "sk_flip": ("rho_matrix", "s_vec"),
-    "fun1": ("rho_matrix", "s_vec"),
-    "fun11": ("rho_matrix", "s_vec"),
-    "funcor1": ("rho_matrix", "s"),
-    "funcor2": ("rho_matrix", "s"),
-    "mean_value": ("rho_matrix", "s_vec"),
-    "result3d": ("rho_matrix", "s_vec"),
-    "sixterm": ("rho_matrix", "s_vec"),
-}
+def _required(args, name: str) -> str:
+    value = getattr(args, name)
+    if value is None:
+        raise DomainError(f"verify {args.id} needs --{name.replace('_', '-')}")
+    return value
 
 
 def cmd_verify(args) -> int:
@@ -171,20 +167,20 @@ def cmd_verify(args) -> int:
         rho = sample_convergent_rho(args.seed, 3, imag_scale=0.0)
         s = rng.uniform(0.1, 0.9, size=3)
     elif kind in ("telescope",):
-        rho = parse_complex(args.rho)
-        s = parse_complex(args.s)
+        rho = parse_complex(_required(args, "rho"))
+        s = parse_complex(_required(args, "s"))
         extras["m"] = args.m
     elif kind in ("sk_flip", "fun1", "fun11", "mean_value", "result3d", "sixterm"):
-        rho = parse_rho_matrix(args.rho_matrix)
-        s = parse_complex_vector(args.s)
+        rho = parse_rho_matrix(_required(args, "rho_matrix"))
+        s = parse_complex_vector(_required(args, "s"))
         if kind == "sk_flip":
             extras["k"] = args.k
     elif kind in ("funcor1", "funcor2"):
-        rho = parse_rho_matrix(args.rho_matrix)
-        s = parse_complex(args.s)
+        rho = parse_rho_matrix(_required(args, "rho_matrix"))
+        s = parse_complex(_required(args, "s"))
     elif kind == "rho12_roots":
         extras = {"gamma": parse_complex(args.gamma), "n": args.n, "branch": args.branch,
-                  "s2": parse_complex(args.s), "nprime": args.nprime}
+                  "s2": parse_complex(_required(args, "s")), "nprime": args.nprime}
     else:
         raise DomainError(f"verify does not support id {kind!r} on the command line")
     ident = IdentityId(kind, args.m if kind == "telescope" else (args.k if kind == "sk_flip" else None))
@@ -208,7 +204,13 @@ def cmd_zeros(args) -> int:
     roots = candidate_zeros(args.family, rho, ks, m=args.m)
     rows = []
     for k, root in zip(ks, roots):
-        diff = xi_sum_m(rho, root, args.m, spec).value - xi_sum_m(rho, 1 - args.m - root, args.m, spec).value
+        mirror = 1 - args.m - root
+        if args.family == "tilde":
+            # Xi~^m(s) + (-1)^m Xi~^m(1-m-s) vanishes on the tilde family
+            diff = xi_tilde_sum_m(rho, root, args.m, spec).value + (-1) ** args.m * xi_tilde_sum_m(
+                rho, mirror, args.m, spec).value
+        else:
+            diff = xi_sum_m(rho, root, args.m, spec).value - xi_sum_m(rho, mirror, args.m, spec).value
         rows.append({
             "k": k, "root_re": root.real, "root_im": root.imag,
             "confirm_residual": abs(diff),
@@ -304,9 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv):
+    """'--re -0.5:1.5:3' -> '--re=-0.5:1.5:3': argparse reads a value that starts with
+    a minus sign and is not a plain number (a range, a complex literal) as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (DomainError, NonConvergenceError, ValueError) as exc:

@@ -18,7 +18,7 @@ class DegenerateParameterError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Adaptive quadrature ran out of panels.
+    """Quadrature ran out of its refinement budget.
 
     Carries the best available estimate so callers can inspect how far off we were.
     """

@@ -1,8 +1,11 @@
-"""Adaptive quadrature: log-axis Mellin integrals, complex segments, tensor cubes (d <= 3).
+"""Quadrature: the log-axis trapezoid rule for Mellin integrals, tensor cubes (d <= 3).
 
-The 1D engine is a (7,15) Gauss-Kronrod pair refined in rounds: every round splits all
-panels whose embedded-rule difference exceeds their share of the budget, and evaluates
-the new panels in one vectorized call.  Tensor integrals use per-axis Gauss-Legendre
+Every 1D log-axis integrand here, (op Psi)(e^x) x^m e^{a x - rho x^2}, is analytic in
+the strip |Im x| < pi/2 and decays like a Gaussian at both ends, so the trapezoid rule
+converges geometrically in 1/h.  By Poisson summation its error at step h is the sum
+of the aliases M(a + 2 pi i k / h), k != 0, so the step is set by the oscillation
+frequency and the tolerance, and the difference to the half-resolution sum on the
+even nodes is a free error estimate.  Tensor integrals use per-axis Gauss-Legendre
 panels at two orders; the order difference is the error estimate.
 """
 
@@ -16,44 +19,13 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
-# (7,15) Gauss-Kronrod pair, abscissae and weights on [-1, 1] (QUADPACK values).
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-# full 15-node layout on [-1,1], ascending
-_NODES15 = np.concatenate((-_XGK[:-1], [0.0], _XGK[-2::-1]))
-_W15 = np.concatenate((_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]))
-_W7 = np.zeros(15)
-_W7[1:14:2] = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
+# relative rounding of a double-precision sum, applied to its largest term
+_ROUNDING = 1e-16
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and budget for the adaptive rules."""
+    """Tolerances and budget for the quadrature rules."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -74,96 +46,81 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """value, error_estimate and peak_mass are arrays when the integrand is vector-valued.
+
+    peak_mass, the largest integrand modulus times the window width, is tracked by the
+    log-axis rule only.
+    """
+
     value: complex
     error_estimate: float
     evaluations: int
+    peak_mass: float = 0.0
 
 
-def _eval_panels(f, lo, hi):
-    """Kronrod/Gauss sums for a batch of panels; one vectorized integrand call."""
-    lo = np.asarray(lo, dtype=complex)
-    hi = np.asarray(hi, dtype=complex)
-    mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    pts = mid[:, None] + half[:, None] * _NODES15[None, :]
-    vals = np.asarray(f(pts.reshape(-1)), dtype=complex).reshape(pts.shape)
-    k15 = (vals * _W15[None, :]).sum(axis=1) * half
-    g7 = (vals * _W7[None, :]).sum(axis=1) * half
-    return k15, g7
+def trapezoid(node_sums, x_lo: float, x_hi: float, omega: float, spec: QuadSpec) -> IntegralResult:
+    """Trapezoid rule on the anchored grid x_j = j h inside [x_lo, x_hi], halving h as needed.
 
+    node_sums(x) returns (sum of the integrand over the nodes x, largest modulus among
+    them), both scalars or both arrays over the integrand's components.  The first
+    step is h = 2^-ceil(log2((omega + c) / pi)) with c = (2/pi) ln(1/abs_tol): the
+    transform decays like e^{-pi |Im a| / 2} along the strip, so the nearest alias,
+    2 pi / h above the oscillation frequency omega, is below abs_tol even at step 2h.
+    The error estimate is |T_h - T_2h| plus a rounding floor, 1e-16 times the
+    largest term times the window.  h is halved, evaluating only the new odd nodes,
+    until the estimate is within max(abs_tol, rel_tol |T_h|, rounding floor) for every
+    component; NonConvergenceError is raised once the next grid would pass
+    max_panels * panel_order nodes.
+    """
+    width = x_hi - x_lo
+    c = 2.0 / math.pi * math.log(1.0 / spec.abs_tol)
+    h = 2.0 ** -math.ceil(math.log2((omega + c) / math.pi))
 
-def _adaptive(f, a, b, spec: QuadSpec, initial_panels: int) -> IntegralResult:
-    n0 = max(1, int(initial_panels))
-    edges = a + (b - a) * np.linspace(0.0, 1.0, n0 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    k15, g7 = _eval_panels(f, lo, hi)
-    err = np.abs(k15 - g7)
-    evals = 15 * n0
+    def nodes(step, offset):
+        return offset + step * np.arange(math.ceil((x_lo - offset) / step), math.floor((x_hi - offset) / step) + 1)
+
+    grid = nodes(2 * h, 0.0)
+    s_even, peak = node_sums(grid)
+    evals = grid.size
     while True:
-        total = k15.sum()
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        global_err = float(err.sum())
-        if global_err <= tol:
-            break
-        if len(lo) >= spec.max_panels:
+        odd = nodes(2 * h, h)
+        s_odd, p_odd = node_sums(odd)
+        peak = np.maximum(peak, p_odd)
+        evals += odd.size
+        t_h = h * (s_even + s_odd)
+        err = np.abs(t_h - 2 * h * s_even)
+        floor = _ROUNDING * peak * width
+        if np.all(err <= np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(t_h)), floor)):
+            return IntegralResult(t_h, err + floor, evals, peak * width)
+        if 2 * evals > spec.max_panels * spec.panel_order:
             raise NonConvergenceError(
-                f"adaptive quadrature did not reach tol={tol:.3g} "
-                f"(err={global_err:.3g}, panels={len(lo)})",
-                best_value=complex(total),
-                error_estimate=global_err,
+                f"log-axis trapezoid did not converge at step {h:.3g} "
+                f"(err={float(np.max(err)):.3g}, nodes={evals})",
+                best_value=t_h,
+                error_estimate=float(np.max(err)),
             )
-        # split every panel contributing more than its per-panel share
-        cut = max(tol / max(len(lo), 1), np.partition(err, -1)[-1] * 1e-3)
-        split = err >= cut
-        if not split.any():
-            split = err == err.max()
-        keep = ~split
-        mids = (lo[split] + hi[split]) / 2.0
-        new_lo = np.concatenate((lo[keep], lo[split], mids))
-        new_hi = np.concatenate((hi[keep], mids, hi[split]))
-        k_new, g_new = _eval_panels(f, np.concatenate((lo[split], mids)), np.concatenate((mids, hi[split])))
-        evals += 15 * 2 * int(split.sum())
-        k15 = np.concatenate((k15[keep], k_new))
-        g7 = np.concatenate((g7[keep], g_new))
-        err = np.concatenate((err[keep], np.abs(k_new - g_new)))
-        lo, hi = new_lo, new_hi
-    # deterministic total: sum panels in order of their projection onto the contour
-    direction = b - a
-    tau = ((lo - a) * direction.conjugate()).real
-    order = np.argsort(tau, kind="stable")
-    total = complex(k15[order].sum())
-    return IntegralResult(total, float(err.sum()), evals)
+        s_even, h = s_even + s_odd, h / 2
 
 
 def integrate_log_axis(integrand, spec: QuadSpec | None = None, x_lo: float | None = None,
-                       x_hi: float | None = None, initial_panels: int | None = None) -> IntegralResult:
+                       x_hi: float | None = None, omega: float = 0.0) -> IntegralResult:
     """Integrate a complex-valued integrand over the truncated log axis [x_lo, x_hi].
 
-    The integrand must accept a numpy array of real points.  Defaults to the
-    symmetric window [-trunc_radius, trunc_radius].
+    The integrand must accept a numpy array of real points; omega is its oscillation
+    frequency on the window.  Defaults to the symmetric window [-trunc_radius, trunc_radius].
     """
     spec = spec or QuadSpec()
     a = -spec.trunc_radius if x_lo is None else x_lo
     b = spec.trunc_radius if x_hi is None else x_hi
     if not b > a:
         raise DomainError("empty integration window")
-    n0 = initial_panels or max(4, int(math.ceil((b - a) / 2.0)))
-    return _adaptive(lambda z: integrand(np.real(z)), complex(a), complex(b), spec, n0)
 
+    def node_sums(x):
+        vals = np.asarray(integrand(x), dtype=complex)
+        return complex(vals.sum()), float(np.abs(vals).max(initial=0.0))
 
-def integrate_segment(integrand, z, s, spec: QuadSpec | None = None,
-                      initial_panels: int | None = None) -> IntegralResult:
-    """Contour integral along the straight segment from z to s.
-
-    The integrand must accept a numpy array of complex points on the segment.
-    """
-    spec = spec or QuadSpec()
-    z = complex(z)
-    s = complex(s)
-    if z == s:
-        return IntegralResult(0j, 0.0, 0)
-    n0 = initial_panels or max(4, int(math.ceil(abs(s - z))))
-    return _adaptive(integrand, z, s, spec, n0)
+    res = trapezoid(node_sums, a, b, omega, spec)
+    return IntegralResult(complex(res.value), float(res.error_estimate), res.evaluations, float(res.peak_mass))
 
 
 @lru_cache(maxsize=64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionWarning
-from .quadrature import QuadSpec, integrate_log_axis, oscillation_panels, panel_nodes, plan_axis
+from .quadrature import QuadSpec, integrate_log_axis, plan_axis, trapezoid
 from .theta import LOG_TAIL_SPLIT, ThetaOperator, theta_values
 
 # Largest real exponent we allow inside exp() before declaring the evaluation
@@ -92,20 +92,21 @@ def kernel_values(op: ThetaOperator | None, x, a, rho, m: int = 0) -> np.ndarray
     return out * powm
 
 
-def _plan(op: ThetaOperator | None, a, rho, spec: QuadSpec):
+def _window(op: ThetaOperator | None, lin, rho: complex, spec: QuadSpec):
+    """Window [x_lo, x_hi] and oscillation frequency of (op Psi)(e^x) e^{b x - rho x^2}
+    for every linear coefficient b in lin (the window is their hull)."""
+    lin = np.atleast_1d(lin)
     tol_log = -math.log(min(spec.abs_tol, 1e-10)) + 6.0
-    delta_like = False
-    if op is not None:
-        c1, c2 = op.left_tail_coeffs()
-        delta_like = abs(c1) + abs(c2) == 0.0
-    x_lo, x_hi = plan_axis(complex(a).real, complex(rho).real, tol_log,
-                           theta_like=op is not None, delta_like=delta_like)
-    omega = abs(complex(a).imag) + 2.0 * abs(complex(rho).imag) * max(abs(x_lo), abs(x_hi))
+    delta_like = op is not None and not any(op.left_tail_coeffs())
+    windows = [plan_axis(re, rho.real, tol_log, theta_like=op is not None, delta_like=delta_like)
+               for re in (float(lin.real.min()), float(lin.real.max()))]
+    x_lo, x_hi = min(w[0] for w in windows), max(w[1] for w in windows)
+    omega = float(np.abs(lin.imag).max()) + 2.0 * abs(rho.imag) * max(abs(x_lo), abs(x_hi))
     return x_lo, x_hi, omega
 
 
 def mellin(kernel: MellinKernel, spec: QuadSpec | None = None) -> XiValue:
-    """Evaluate the kernel's Mellin transform by adaptive log-axis quadrature.
+    """Evaluate the kernel's Mellin transform by the log-axis trapezoid rule.
 
     Pure-exp kernels are entire, so their path is shifted through the Gaussian
     saddle Im(a/2rho); this removes the e^{i Im(a) x} cancellation and keeps the
@@ -115,79 +116,56 @@ def mellin(kernel: MellinKernel, spec: QuadSpec | None = None) -> XiValue:
     op, m = kernel.theta_op, kernel.log_power
     a, rho = complex(kernel.argument), complex(kernel.gaussian_coeff)
     if op is None:
-        shift = (a / (2 * rho)).imag
-        lin_re = a.real + 2 * shift * rho.imag
-        tol_log = -math.log(min(spec.abs_tol, 1e-10)) + 6.0
-        x_lo, x_hi = plan_axis(lin_re, rho.real, tol_log, theta_like=False)
-        omega = 2.0 * abs(rho.imag) * max(abs(x_lo), abs(x_hi))
-        f = lambda x: (x + 1j * shift) ** m * np.exp(a * (x + 1j * shift) - rho * (x + 1j * shift) ** 2)
+        z = 1j * (a / (2 * rho)).imag
+        lin = a - 2 * rho * z
+        f = lambda x: (x + z) ** m * np.exp(a * (x + z) - rho * (x + z) ** 2)
     else:
-        x_lo, x_hi, omega = _plan(op, a, rho, spec)
+        lin = a
         f = lambda x: kernel_values(op, x, a, rho, m)
-    panels = oscillation_panels(x_lo, x_hi, omega)
-    res = integrate_log_axis(f, spec, x_lo=x_lo, x_hi=x_hi, initial_panels=panels)
-    probe = np.linspace(x_lo, x_hi, 129)
-    peak_mass = float(np.abs(f(probe)).max()) * (x_hi - x_lo)
-    err = res.error_estimate + 1e-16 * peak_mass
-    if 1e-16 * peak_mass > spec.abs_tol and peak_mass > _CANCEL_LIMIT * max(abs(res.value), 1e-300):
+    res = integrate_log_axis(f, spec, *_window(op, lin, rho, spec))
+    mass = res.peak_mass
+    if 1e-16 * mass > spec.abs_tol and mass > _CANCEL_LIMIT * max(abs(res.value), 1e-300):
         warnings.warn(
-            f"cancellation ratio {peak_mass / max(abs(res.value), 1e-300):.2e} exceeds 1e12; "
+            f"cancellation ratio {mass / max(abs(res.value), 1e-300):.2e} exceeds 1e12; "
             "absolute accuracy limited",
             PrecisionWarning,
             stacklevel=2,
         )
-    return XiValue(res.value, err)
+    return XiValue(res.value, res.error_estimate)
 
 
 def mellin_many(op: ThetaOperator | None, rho, args, m: int = 0,
                 spec: QuadSpec | None = None) -> tuple[np.ndarray, float]:
     """M[(op Psi) ln^m exp(-rho ln^2)](a_k) for a whole array of arguments a_k.
 
-    Shares one node grid across the batch (planned for the hull of the arguments)
-    and evaluates as a matrix product.  Returns (values, error_bound).
+    The same trapezoid rule as `mellin`, on one grid planned for the hull of the
+    arguments: the kernel values are shared and each node sum is a matrix product.
+    Every argument meets the spec's tolerance or NonConvergenceError is raised.
+    Returns (values, error bound), the bound being the largest per-argument estimate.
     """
     spec = spec or QuadSpec()
     rho = complex(rho)
     args = np.atleast_1d(np.asarray(args, dtype=complex))
-    re_lo, re_hi = float(args.real.min()), float(args.real.max())
-    im_max = float(np.abs(args.imag).max())
-    tol_log = -math.log(min(spec.abs_tol, 1e-10)) + 6.0
-    delta_like = False
-    if op is not None:
-        c1, c2 = op.left_tail_coeffs()
-        delta_like = abs(c1) + abs(c2) == 0.0
-    lo1, hi1 = plan_axis(re_lo, rho.real, tol_log, theta_like=op is not None, delta_like=delta_like)
-    lo2, hi2 = plan_axis(re_hi, rho.real, tol_log, theta_like=op is not None, delta_like=delta_like)
-    x_lo, x_hi = min(lo1, lo2), max(hi1, hi2)
-    omega = im_max + 2.0 * abs(rho.imag) * max(abs(x_lo), abs(x_hi))
-    n_panels = oscillation_panels(x_lo, x_hi, omega, base=8)
 
-    def pass_at(order):
-        x, w = panel_nodes(x_lo, x_hi, n_panels, order)
-        base = kernel_values(op, x, 0.0, rho, m) * w
+    def node_sums(x):
+        base = kernel_values(op, x, 0.0, rho, m)
         # fold the damped base's magnitude into the exponent so exp(a x) never
         # overflows where the Gaussian would have rescued the product; magnitudes
         # below the subnormal range contribute nothing and divide unsafely
         mag = np.abs(base)
         ok = mag > 1e-280
         logmag = np.where(ok, np.log(np.maximum(mag, 1e-300)), -np.inf)
-        phase = np.zeros_like(base)
-        phase[ok] = base[ok] / mag[ok]
-        out = np.empty(args.shape, dtype=complex)
+        phase = np.where(ok, base / np.where(ok, mag, 1.0), 0.0)
+        sums = np.empty(args.shape, dtype=complex)
+        peaks = np.empty(args.shape)
         for start in range(0, args.size, 256):
-            blk = args[start : start + 256]
-            out[start : start + 256] = (_checked_exp(np.outer(blk, x) + logmag[None, :]) * phase[None, :]).sum(axis=1)
-        return out
+            expo = np.outer(args[start : start + 256], x) + logmag
+            sums[start : start + 256] = _checked_exp(expo) @ phase
+            peaks[start : start + 256] = np.exp(expo.real.max(axis=1, initial=-np.inf))
+        return sums, peaks
 
-    hi_vals = pass_at(spec.panel_order + 5)
-    lo_vals = pass_at(spec.panel_order)
-    err = float(np.abs(hi_vals - lo_vals).max())
-    if err > max(spec.abs_tol * 10, spec.rel_tol * float(np.abs(hi_vals).max())):
-        n_panels *= 2
-        hi_vals = pass_at(spec.panel_order + 5)
-        lo_vals = pass_at(spec.panel_order)
-        err = float(np.abs(hi_vals - lo_vals).max())
-    return hi_vals, err
+    res = trapezoid(node_sums, *_window(op, args, rho, spec), spec)
+    return res.value, float(np.max(res.error_estimate))
 
 
 def xi(rho, s, spec: QuadSpec | None = None) -> XiValue:

@@ -18,9 +18,7 @@ from .errors import DomainError, NonConvergenceError
 from .gaussmat import RhoMatrix
 from .quadrature import QuadSpec, oscillation_panels, panel_nodes, plan_axis
 from .theta import LOG_TAIL_SPLIT, ThetaOperator, theta_values
-from .xi_core import XiValue
-
-_EXP_LIMIT = 705.0
+from .xi_core import _EXP_LIMIT, XiValue
 
 
 @dataclass(frozen=True)

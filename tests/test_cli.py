@@ -191,3 +191,29 @@ def test_verify_rho12_roots_cli(capsys):
     )
     assert code == 0
     assert json.loads(out.strip())["pass"] is True
+
+
+def test_verify_matrix_identity_without_inputs_exit_2(capsys):
+    code, out, err = run_cli(["verify", "result3d"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--rho-matrix" in err
+
+
+def test_zeros_tilde_family_confirmed_by_tilde_identity(capsys):
+    code, out, _ = run_cli(
+        ["--output-format", "csv", "zeros", "--rho", "0.5", "--count", "3", "--family", "tilde"], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(float(r[3]) <= 1e-9 for r in rows)
+
+
+def test_grid_range_with_leading_minus(capsys):
+    code, out, err = run_cli(
+        ["--output-format", "csv", "grid", "--rho", "1", "--re", "-0.5:1.5:3", "--im", "0:1:2"], capsys
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [-0.5, -0.5, 0.5, 0.5, 1.5, 1.5]

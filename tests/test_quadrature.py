@@ -8,7 +8,6 @@ from xideform.quadrature import (
     IntegralResult,
     QuadSpec,
     integrate_log_axis,
-    integrate_segment,
     oscillation_panels,
     panel_nodes,
     plan_axis,
@@ -42,37 +41,6 @@ def test_complex_linear_coefficient():
     res = integrate_log_axis(lambda x: np.exp(-rho * x * x + s * x), x_lo=-12, x_hi=12)
     expected = np.sqrt(np.pi / rho) * np.exp(s * s / (4 * rho))
     assert abs(res.value - expected) < 1e-10 * abs(expected)
-
-
-def test_segment_constant():
-    res = integrate_segment(lambda t: np.ones_like(t), 0.0, 1.0 + 1.0j)
-    assert res.value == pytest.approx(1.0 + 1.0j, abs=1e-13)
-
-
-def test_segment_empty():
-    res = integrate_segment(lambda t: np.cosh(t), 0.5, 0.5)
-    assert res.value == 0.0
-    assert res.evaluations == 0
-
-
-def test_segment_hyperbolic_kernel_closed_form():
-    # integral_{1/2}^{3/2} sinh((3/2-t)/16) cosh((1/2-t)/16) dt  ==  (1/2-s)/2 sinh((1/2-s)/16)
-    # at rho=1, s=3/2 (nested-kernel closed form; constant-cosh terms cancel)
-    rho, s = 1.0, 1.5
-    res = integrate_segment(lambda t: np.sinh((s - t) / (16 * rho)) * np.cosh((0.5 - t) / (16 * rho)), 0.5, s)
-    expected = (0.5 - s) / 2 * math.sinh((0.5 - s) / (16 * rho))
-    assert res.value.real == pytest.approx(expected, abs=1e-10)
-
-
-def test_segment_reversal_and_transitivity():
-    f = lambda t: np.exp(-t * t) * (1.0 + t)
-    z, y, s = 0.2 + 0.1j, 1.0 - 0.4j, 2.0 + 0.5j
-    spec = QuadSpec()
-    a = integrate_segment(f, z, s, spec).value
-    b = integrate_segment(f, s, z, spec).value
-    assert abs(a + b) < 5e-14 + 5e-14 * abs(a)
-    via = integrate_segment(f, z, y, spec).value + integrate_segment(f, y, s, spec).value
-    assert abs(a - via) < 3 * spec.abs_tol
 
 
 def test_linearity():
