@@ -92,6 +92,16 @@ def kernel_values(op: ThetaOperator | None, x, a, rho, m: int = 0) -> np.ndarray
     return out * powm
 
 
+def _polar(values, exponent=0.0):
+    """(phase, logmag) with values * e^exponent = phase * e^logmag and |phase| = 1, or 0
+    where the value is below the subnormal range (it contributes nothing there and
+    divides unsafely)."""
+    mag = np.abs(values)
+    ok = mag > 1e-280
+    phase = np.where(ok, values / np.where(ok, mag, 1.0), 0.0)
+    return phase, exponent + np.where(ok, np.log(np.maximum(mag, 1e-300)), -np.inf)
+
+
 def _window(op: ThetaOperator | None, lin, rho: complex, spec: QuadSpec):
     """Window [x_lo, x_hi] and oscillation frequency of (op Psi)(e^x) e^{b x - rho x^2}
     for every linear coefficient b in lin (the window is their hull)."""
@@ -99,7 +109,7 @@ def _window(op: ThetaOperator | None, lin, rho: complex, spec: QuadSpec):
     tol_log = -math.log(min(spec.abs_tol, 1e-10)) + 6.0
     delta_like = op is not None and not any(op.left_tail_coeffs())
     windows = [plan_axis(re, rho.real, tol_log, theta_like=op is not None, delta_like=delta_like)
-               for re in (float(lin.real.min()), float(lin.real.max()))]
+               for re in {float(lin.real.min()), float(lin.real.max())}]  # once for one argument
     x_lo, x_hi = min(w[0] for w in windows), max(w[1] for w in windows)
     omega = float(np.abs(lin.imag).max()) + 2.0 * abs(rho.imag) * max(abs(x_lo), abs(x_hi))
     return x_lo, x_hi, omega
@@ -148,14 +158,9 @@ def mellin_many(op: ThetaOperator | None, rho, args, m: int = 0,
     args = np.atleast_1d(np.asarray(args, dtype=complex))
 
     def node_sums(x):
-        base = kernel_values(op, x, 0.0, rho, m)
         # fold the damped base's magnitude into the exponent so exp(a x) never
-        # overflows where the Gaussian would have rescued the product; magnitudes
-        # below the subnormal range contribute nothing and divide unsafely
-        mag = np.abs(base)
-        ok = mag > 1e-280
-        logmag = np.where(ok, np.log(np.maximum(mag, 1e-300)), -np.inf)
-        phase = np.where(ok, base / np.where(ok, mag, 1.0), 0.0)
+        # overflows where the Gaussian would have rescued the product
+        phase, logmag = _polar(kernel_values(op, x, 0.0, rho, m))
         sums = np.empty(args.shape, dtype=complex)
         peaks = np.empty(args.shape)
         for start in range(0, args.size, 256):

@@ -165,6 +165,21 @@ def test_sixterm():
     assert rep.passed
 
 
+# draws of sample_convergent_rho(seed, 3, imag_scale=0) whose Re rho is nearly singular
+# (smallest eigenvalue 0.03 and 0.14): axis windows planned from rho_ii alone cut the
+# integrand short there; s is the CLI's draw for the first seed
+NEAR_SINGULAR = [(566268863, None), (1601536585, [0.43 + 0.65j, 0.83 - 0.17j, 0.13 + 0.66j])]
+
+
+@pytest.mark.parametrize("seed,s", NEAR_SINGULAR)
+def test_3d_identities_near_singular_real_part(seed, s):
+    rho = sample_convergent_rho(seed, 3, imag_scale=0.0)
+    s = np.random.default_rng(seed).uniform(0.1, 0.9, size=3) if s is None else s
+    for ident in ("result3d", "sixterm", *(IdentityId("sk_flip", k) for k in range(3))):
+        rep = verify(ident, rho=rho, s=s)
+        assert rep.passed, f"{rep.id}: relative residual {rep.rel_residual:.2e}"
+
+
 def test_rewrite_3d_a_reduction_law():
     # off roots, the two sides differ by sqrt(pi/gamma) e^{1/64 gamma} (Xi+^2 - Xi-^2)/2
     rho, gamma, s = 0.5, 0.3, 0.4

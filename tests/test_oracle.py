@@ -1,9 +1,10 @@
-"""The 1D log-axis quantities against the independent 30-digit mpmath oracle.
+"""The log-axis quantities against the independent 30-digit mpmath oracle.
 
 The oracle is the benchmark's (`perfbench/oracle.py`): it shares no code with the
 package and folds the left half of the log axis onto the right through the Jacobi
 inversion.  Every value must be within its own reported quad_error and within the
-QuadSpec tolerance max(abs_tol, rel_tol |ref|).
+QuadSpec tolerance max(abs_tol, rel_tol |ref|).  A diagonal rho factorises xi_d into
+1D transforms, which the oracle computes one at a time.
 """
 
 import importlib.util
@@ -15,10 +16,17 @@ import pytest
 from xideform import xi_core
 from xideform.quadrature import QuadSpec
 from xideform.theta import ThetaOperator
+from xideform.xi_multi import MultiXiParams, xi_d
 
 pytest.importorskip("mpmath")
 
 _ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+
+
+def _assert_within(val, ref, spec):
+    err = abs(val.value - ref)
+    assert err <= val.quad_error
+    assert err <= max(spec.abs_tol, spec.rel_tol * abs(ref))
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +59,29 @@ CASES.append(("xi_ds2", 0.0636, -0.7913 + 12.6839j))
 @pytest.mark.parametrize("kind,rho,s", CASES)
 def test_value_within_reported_error_and_tolerance(oracle, kind, rho, s):
     call, reference = KINDS[kind]
-    spec = QuadSpec()
-    val = call(rho, s)
-    ref = complex(reference(oracle, rho, s))
-    err = abs(val.value - ref)
-    assert err <= val.quad_error
-    assert err <= max(spec.abs_tol, spec.rel_tol * abs(ref))
+    _assert_within(call(rho, s), complex(reference(oracle, rho, s)), QuadSpec())
+
+
+# (variant, diagonal of rho, s): rho_ii in [0.15, 2], Re s in [-0.5, 1.6], Im s in [-6, 15]
+DIAGONAL = [
+    ("theta", (0.6, 1.5), (0.5 + 2j, 0.2 - 3j)),
+    ("theta", (0.3, 1.0), (-0.5 + 8j, 1.5 + 0.5j)),
+    ("theta", (2.0, 0.15), (0.9 - 1j, 0.1 + 12j)),
+    ("jensen", (0.7, 1.2), (0.3 + 1j, 0.8 - 2.5j)),
+    ("jensen", (0.25, 0.9), (1.2 - 6j, -0.4 + 0.2j)),
+    ("jensen", (1.5, 0.5), (0.5 + 15j, 0.5)),
+    ("theta", (0.8, 1.0, 1.3), (0.2 + 0.5j, 0.6 - 2j, 0.9 + 3j)),
+    ("theta", (0.4, 1.2, 0.9), (-0.3 + 4j, 1.1, 0.5 - 1j)),
+    ("theta", (1.0, 0.6, 2.0), (0.5 + 10j, 0.1 - 0.3j, 1.6 + 1j)),
+]
+
+
+@pytest.mark.parametrize("variant,diag,s", DIAGONAL)
+def test_xi_d_diagonal_within_reported_error_and_tolerance(oracle, variant, diag, s):
+    spec = QuadSpec.for_dimension(len(diag))
+    val = xi_d(MultiXiParams.make(np.diag(diag), s, variant), spec)
+    _assert_within(val, complex(oracle.xi_d_diagonal(diag, s, variant)), spec)
+
 
 
 def test_mellin_many_within_returned_bound(oracle):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xideform.errors import DomainError
-from xideform.quadrature import panel_nodes
+from xideform.errors import DomainError, NonConvergenceError
+from xideform.quadrature import QuadSpec, panel_nodes
 from xideform.theta import ThetaOperator
 from xideform.xi_core import mellin, MellinKernel, mellin_many, xi
 from xideform.xi_multi import (
@@ -85,6 +86,28 @@ def test_heat_multi_finite_difference():
     fd = (xi_d(MultiXiParams.make(rho + bump, s)).value - xi_d(MultiXiParams.make(rho - bump, s)).value) / (2 * h)
     analytic = d_rho_ij_xi_d(rho, s, 0, 1).value
     assert abs(fd - analytic) < 1e-6 * max(1.0, abs(analytic))
+
+
+def test_stall_raises_with_estimate():
+    # a narrow Gaussian (rho_ii = 10) misses on the first grid of 33 x 33 nodes and
+    # converges one halving later; a budget below the halved grid stops at the coarse value
+    params = MultiXiParams.make([[10.0, 1.0], [1.0, 10.0]], [0.5, 0.5 + 1j])
+    spec = QuadSpec.for_dimension(2)
+    converged = xi_d(params, spec)
+    with pytest.raises(NonConvergenceError) as exc:
+        xi_d(params, replace(spec, max_nodes=2000))
+    assert exc.value.error_estimate > spec.abs_tol
+    assert abs(exc.value.best_value - converged.value) <= exc.value.error_estimate
+
+
+def test_explicit_spec_keeps_the_budget_of_the_dimension():
+    # verify and the CLI pass one spec to 1D and 3D integrals alike; this narrow
+    # Gaussian needs a halving past its first grid of 33^3 nodes
+    rho = [[10.0, 1.0, 0.0], [1.0, 10.0, 0.0], [0.0, 0.0, 10.0]]
+    spec = QuadSpec()
+    joint = xi_d(MultiXiParams.make(rho, [0.5, 0.5, 0.5]), spec)
+    pair = xi_d(MultiXiParams.make([[10.0, 1.0], [1.0, 10.0]], [0.5, 0.5]), spec).value
+    assert abs(joint.value - pair * xi(10.0, 0.5, spec).value) < 1e-15
 
 
 def test_predicate_rejected():
