@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .funceq import IdentityId, candidate_zeros, sample_convergent_rho, verify
+from .funceq import IDENTITIES, IdentityId, candidate_zeros, sample_convergent_rho, verify
 from .gaussmat import RhoMatrix
 from .ode_solutions import a_pm, canonical_decomposition
 from .quadrature import QuadSpec
@@ -157,33 +157,34 @@ def _required(args, name: str) -> str:
     return value
 
 
+# the verify option each named extra is read from (an s2 from --s)
+_EXTRA_OPTION = {"rho": "rho", "s": "s", "s2": "s", "gamma": "gamma", "n": "n", "branch": "branch",
+                 "nprime": "nprime"}
+# identities whose every input has a verify option; the others need an extra that only
+# the library takes, such as alpha
+_VERIFY_IDS = tuple(kind for kind, entry in IDENTITIES.items() if set(entry.extras) <= set(_EXTRA_OPTION))
+
+
+def _verify_inputs(args, entry):
+    """(rho, s, extras) for verify, read from the options the entry's input shape needs."""
+    if entry.inputs == "extras":
+        values = {name: _required(args, _EXTRA_OPTION[name]) for name in entry.extras}
+        return None, None, {name: parse_complex(v) if isinstance(v, str) else v for name, v in values.items()}
+    if entry.inputs == "scalar":
+        return parse_complex(_required(args, "rho")), parse_complex(_required(args, "s")), {}
+    if entry.inputs == "matrix" and entry.d and args.seed is not None:
+        rng = np.random.default_rng(args.seed)
+        return sample_convergent_rho(args.seed, entry.d, imag_scale=0.0), rng.uniform(0.1, 0.9, size=entry.d), {}
+    rho = parse_rho_matrix(_required(args, "rho_matrix"))
+    s = _required(args, "s")
+    return rho, parse_complex(s) if entry.inputs == "equal_diagonal" else parse_complex_vector(s), {}
+
+
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    kind = args.id
-    extras = {}
-    rho = s = None
-    if args.seed is not None and kind in ("result3d", "sixterm"):
-        rng = np.random.default_rng(args.seed)
-        rho = sample_convergent_rho(args.seed, 3, imag_scale=0.0)
-        s = rng.uniform(0.1, 0.9, size=3)
-    elif kind in ("telescope",):
-        rho = parse_complex(_required(args, "rho"))
-        s = parse_complex(_required(args, "s"))
-        extras["m"] = args.m
-    elif kind in ("sk_flip", "fun1", "fun11", "mean_value", "result3d", "sixterm"):
-        rho = parse_rho_matrix(_required(args, "rho_matrix"))
-        s = parse_complex_vector(_required(args, "s"))
-        if kind == "sk_flip":
-            extras["k"] = args.k
-    elif kind in ("funcor1", "funcor2"):
-        rho = parse_rho_matrix(_required(args, "rho_matrix"))
-        s = parse_complex(_required(args, "s"))
-    elif kind == "rho12_roots":
-        extras = {"gamma": parse_complex(args.gamma), "n": args.n, "branch": args.branch,
-                  "s2": parse_complex(_required(args, "s")), "nprime": args.nprime}
-    else:
-        raise DomainError(f"verify does not support id {kind!r} on the command line")
-    ident = IdentityId(kind, args.m if kind == "telescope" else (args.k if kind == "sk_flip" else None))
+    entry = IDENTITIES[args.id]
+    rho, s, extras = _verify_inputs(args, entry)
+    ident = IdentityId(args.id, getattr(args, entry.index) if entry.index else None)
     report = verify(ident, rho=rho, s=s, extras=extras, tol=args.tol, spec=spec)
     if args.output_format == "json":
         _emit(args, [report.to_dict()])
@@ -272,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="verify a functional identity")
-    p_verify.add_argument("id", choices=("telescope", "sk_flip", "fun1", "fun11", "funcor1",
-                                         "funcor2", "mean_value", "result3d", "sixterm", "rho12_roots"))
+    p_verify.add_argument("id", choices=_VERIFY_IDS)
     p_verify.add_argument("--rho")
     p_verify.add_argument("--rho-matrix", dest="rho_matrix")
     p_verify.add_argument("--s")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--nprime", type=int, default=0)
     p_verify.add_argument("--branch", type=int, default=1)
     p_verify.add_argument("--gamma", default="1")
-    p_verify.add_argument("--seed", type=int, default=None, help="random predicate-satisfying draw")
+    p_verify.add_argument("--seed", type=int, default=None, help="random rho and s, for identities of fixed dimension")
     p_verify.set_defaults(func=cmd_verify)
 
     p_zeros = sub.add_parser("zeros", help="closed-form candidate zeros with confirmation residuals")

@@ -13,7 +13,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -26,29 +27,37 @@ from .xi_multi import MultiXiParams, xi_d
 
 PI = math.pi
 
-KINDS = (
-    "telescope", "sk_flip", "fun1", "fun11", "funcor1", "funcor2", "rho12_roots",
-    "mean_value", "result3d", "sixterm", "rewrite_3d_a", "rewrite_3d_b",
-    "rewrite_2d", "mobius_rewrite",
-)
 
-# default per-identity tolerance by dimensionality of the heaviest integral
-DEFAULT_TOL = {
-    "telescope": 1e-9, "sk_flip": 1e-6, "fun1": 1e-6, "fun11": 1e-6,
-    "funcor1": 1e-7, "funcor2": 1e-7, "rho12_roots": 1e-10, "mean_value": 1e-7,
-    "result3d": 1e-5, "sixterm": 1e-5, "rewrite_3d_a": 1e-5, "rewrite_3d_b": 1e-4,
-    "rewrite_2d": 1e-6, "mobius_rewrite": 1e-6,
-}
+@dataclass(frozen=True)
+class Identity:
+    """One catalog entry: the check, its default tolerance, input shape and index.
+
+    `inputs`, normalised and validated by `verify` before the check runs, is "scalar"
+    (complex rho and s), "matrix" (a d x d RhoMatrix, d = `d` or any when None, and an
+    s vector of length d), "equal_diagonal" (a 2 x 2 RhoMatrix with rho11 = rho22 and a
+    complex s) or "extras" (the named `extras` alone, each declared by its type when
+    required or by its default).  `index` names the IdentityId index, also read from
+    extras.  The check takes the inputs and spec as keywords, returns (lhs, rhs, evaluations).
+    """
+
+    check: Callable
+    tol: float  # default, by the dimension of the heaviest integral
+    inputs: str
+    d: int | None = None
+    index: str | None = None
+    extras: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class IdentityId:
     kind: str
-    index: int | None = None  # m for telescope, k for sk_flip
+    index: int | None = None  # the value of the entry's named index (m, k)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in IDENTITIES:
             raise DomainError(f"unknown identity {self.kind!r}")
+        if self.index is not None and IDENTITIES[self.kind].index is None:
+            raise DomainError(f"{self.kind} takes no index")
 
     def __str__(self):
         return self.kind if self.index is None else f"{self.kind}({self.index})"
@@ -80,7 +89,7 @@ class VerificationReport:
         }
 
     def params_hash(self) -> str:
-        blob = json.dumps(self.params, sort_keys=True, default=str)
+        blob = json.dumps(self.params, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def csv_row(self) -> list:
@@ -127,16 +136,29 @@ def _xi2(rho2: RhoMatrix, s, spec) -> complex:
 # individual identities
 
 
-def _verify_telescope(m, rho, s, tol, spec):
-    rho, s = complex(rho), complex(s)
+def _flip_difference(rho: RhoMatrix, s, spec) -> complex:
+    """Xi(rho, s) - Xi(rho, 1 - s), the left side of the all-axes functional equations."""
+    return (
+        xi_d(MultiXiParams.make(rho, s), spec).value
+        - xi_d(MultiXiParams.make(rho, [1 - v for v in s]), spec).value
+    )
+
+
+def _reduced_pair(r, det, x, arg_shifted, arg, spec) -> complex:
+    """sqrt(pi)/(2 sqrt r) [e^{(x-1)^2/16r} Xi_{det/r}(arg_shifted) - e^{x^2/16r} Xi_{det/r}(arg)]:
+    one axis of a 2D Gaussian integrated out at the two shifts x - 1 and x."""
+    return (np.sqrt(PI) / (2 * np.sqrt(r))) * (
+        np.exp((x - 1) ** 2 / (16 * r)) * xi(det / r, arg_shifted, spec).value
+        - np.exp(x**2 / (16 * r)) * xi(det / r, arg, spec).value
+    )
+
+
+def _verify_telescope(rho, s, m, spec):
     lhs = xi_sum_m(rho, s, m, spec).value - xi_sum_m(rho, 1 - m - s, m, spec).value
     return lhs, telescope_rhs(rho, s, m), 2 * (m + 1)
 
 
-def _verify_sk_flip(k, rho, s, tol, spec):
-    rho = _as_rho(rho)
-    rho.require_convergent()
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
+def _verify_sk_flip(rho, s, k, spec):
     d = rho.d
     a = rho.array()
     lhs = xi_d(MultiXiParams.make(rho, s), spec).value if d > 1 else xi(a[0, 0], s[0], spec).value
@@ -168,29 +190,16 @@ def _verify_sk_flip(k, rho, s, tol, spec):
 def _fun_groups(a, det, s1, s2, spec):
     """The two reduced-Xi brackets shared by the 2D functional equations."""
     r11, r22, r12 = a[0, 0], a[1, 1], a[0, 1]
-    g22 = (np.sqrt(PI) / (2 * np.sqrt(r22))) * (
-        np.exp((s2 - 1) ** 2 / (16 * r22)) * xi(det / r22, 1 - s1 - (r12 / r22) * (1 - s2), spec).value
-        - np.exp(s2**2 / (16 * r22)) * xi(det / r22, 1 - s1 + (r12 / r22) * s2, spec).value
-    )
-    g11 = (np.sqrt(PI) / (2 * np.sqrt(r11))) * (
-        np.exp((s1 - 1) ** 2 / (16 * r11)) * xi(det / r11, 1 - s2 - (r12 / r11) * (1 - s1), spec).value
-        - np.exp(s1**2 / (16 * r11)) * xi(det / r11, 1 - s2 + (r12 / r11) * s1, spec).value
-    )
+    g22 = _reduced_pair(r22, det, s2, 1 - s1 - (r12 / r22) * (1 - s2), 1 - s1 + (r12 / r22) * s2, spec)
+    g11 = _reduced_pair(r11, det, s1, 1 - s2 - (r12 / r11) * (1 - s1), 1 - s2 + (r12 / r11) * s1, spec)
     return g11, g22
 
 
-def _verify_fun1(rho, s, tol, spec):
-    rho = _as_rho(rho)
-    rho.require_convergent()
-    if rho.d != 2:
-        raise DomainError("fun1 is a d=2 identity")
+def _verify_fun1(rho, s, spec):
     a = rho.array()
     s1, s2 = complex(s[0]), complex(s[1])
     det = rho.det()
-    lhs = (
-        xi_d(MultiXiParams.make(rho, [s1, s2]), spec).value
-        - xi_d(MultiXiParams.make(rho, [1 - s1, 1 - s2]), spec).value
-    )
+    lhs = _flip_difference(rho, [s1, s2], spec)
     r11, r22, r12 = a[0, 0], a[1, 1], a[0, 1]
     pref = PI * np.exp((r22 * s1**2 + r11 * s2**2 - 2 * r12 * s1 * s2) / (16 * det)) / (4 * np.sqrt(det))
     bracket = (
@@ -203,52 +212,28 @@ def _verify_fun1(rho, s, tol, spec):
     return lhs, pref * bracket + g22 + g11, 6
 
 
-def _verify_fun11(rho, s, tol, spec):
-    rho = _as_rho(rho)
-    rho.require_convergent()
+def _verify_fun11(rho, s, spec):
     a = rho.array()
     s1, s2 = complex(s[0]), complex(s[1])
     det = rho.det()
-    lhs = (
-        xi_d(MultiXiParams.make(rho, [s1, s2]), spec).value
-        - xi_d(MultiXiParams.make(rho, [1 - s1, 1 - s2]), spec).value
-    )
+    lhs = _flip_difference(rho, [s1, s2], spec)
     r11, r12 = a[0, 0], a[0, 1]
-    f11 = (np.sqrt(PI) / (2 * np.sqrt(r11))) * (
-        np.exp((s1 - 1) ** 2 / (16 * r11)) * xi(det / r11, s2 + (r12 / r11) * (1 - s1), spec).value
-        - np.exp(s1**2 / (16 * r11)) * xi(det / r11, s2 - (r12 / r11) * s1, spec).value
-    )
+    f11 = _reduced_pair(r11, det, s1, s2 + (r12 / r11) * (1 - s1), s2 - (r12 / r11) * s1, spec)
     _, g22 = _fun_groups(a, det, s1, s2, spec)
     return lhs, f11 + g22, 6
 
 
-def _verify_funcor1(rho, s, tol, spec):
-    rho = _as_rho(rho)
+def _verify_funcor1(rho, s, spec):
     a = rho.array()
-    if rho.d != 2 or a[0, 0] != a[1, 1]:
-        raise DomainError("funcor1 needs a symmetric 2x2 matrix with rho11 = rho22")
-    rho.require_convergent()
-    s = complex(s)
     det = rho.det()
     r11, r12 = a[0, 0], a[0, 1]
-    lhs = (
-        xi_d(MultiXiParams.make(rho, [s, s]), spec).value
-        - xi_d(MultiXiParams.make(rho, [1 - s, 1 - s]), spec).value
-    )
-    rhs = (np.sqrt(PI) / np.sqrt(r11)) * (
-        np.exp((s - 1) ** 2 / (16 * r11)) * xi(det / r11, 1 - s - (r12 / r11) * (1 - s), spec).value
-        - np.exp(s**2 / (16 * r11)) * xi(det / r11, 1 - s + (r12 / r11) * s, spec).value
-    )
+    lhs = _flip_difference(rho, [s, s], spec)
+    rhs = 2 * _reduced_pair(r11, det, s, 1 - s - (r12 / r11) * (1 - s), 1 - s + (r12 / r11) * s, spec)
     return lhs, rhs, 4
 
 
-def _verify_funcor2(rho, s, tol, spec):
-    rho = _as_rho(rho)
+def _verify_funcor2(rho, s, spec):
     a = rho.array()
-    if rho.d != 2 or a[0, 0] != a[1, 1]:
-        raise DomainError("funcor2 needs a symmetric 2x2 matrix with rho11 = rho22")
-    rho.require_convergent()
-    s = complex(s)
     det = rho.det()
     r11, r12 = a[0, 0], a[0, 1]
     dr = det / r11
@@ -285,17 +270,12 @@ def rho12_special_roots(gamma, n: int, branch: int, s2, nprime: int = 0):
     return rho12, s1
 
 
-def _verify_rho12_roots(extras, tol):
-    gamma = extras["gamma"]
-    rho12, s1 = rho12_special_roots(gamma, extras["n"], extras.get("branch", 1),
-                                    extras["s2"], extras.get("nprime", 0))
-    val = four_exponential_combination(gamma, rho12, s1, extras["s2"])
-    return val, 0.0, 0
+def _verify_rho12_roots(gamma, n, s2, branch, nprime, spec):
+    rho12, s1 = rho12_special_roots(gamma, n, branch, s2, nprime)
+    return four_exponential_combination(gamma, rho12, s1, s2), 0.0, 0
 
 
-def _verify_mean_value(rho, s, tol, spec):
-    rho = _as_rho(rho)
-    rho.require_convergent()
+def _verify_mean_value(rho, s, spec):
     a = rho.array()
     r11, r22, r12 = a[0, 0], a[1, 1], a[0, 1]
     s1, s2 = complex(s[0]), complex(s[1])
@@ -337,17 +317,10 @@ def _c_term(rho: RhoMatrix, k: int, x, y, z, spec) -> complex:
     return pref * xi(rho.det() / rij, 1 - z + (x * tkij + y * tkji) / rij, spec).value
 
 
-def _verify_result3d(rho, s, tol, spec):
-    rho = _as_rho(rho)
-    if rho.d != 3:
-        raise DomainError("result3d is a d=3 identity")
-    rho.require_convergent()
+def _verify_result3d(rho, s, spec):
     a = rho.array()
     s1, s2, s3 = (complex(v) for v in s)
-    lhs = (
-        xi_d(MultiXiParams.make(rho, [s1, s2, s3]), spec).value
-        - xi_d(MultiXiParams.make(rho, [1 - s1, 1 - s2, 1 - s3]), spec).value
-    )
+    lhs = _flip_difference(rho, [s1, s2, s3], spec)
     e = lambda p, q, r: closed_form_e(rho, [p, q, r])
     grp_exp = (1.0 / 8.0) * (
         e(s1, s2 - 1, s3) - e(s1 - 1, s2, s3 - 1) + e(s1 - 1, s2, s3) - e(s1 - 1, s2 - 1, s3)
@@ -372,50 +345,32 @@ def _verify_result3d(rho, s, tol, spec):
     return lhs, grp_exp + grp_c + grp_red, 20
 
 
-def _verify_sixterm(rho, s, tol, spec):
-    rho = _as_rho(rho)
-    if rho.d != 3:
-        raise DomainError("sixterm is a d=3 identity")
-    rho.require_convergent()
-    a = rho.array()
+def _verify_sixterm(rho, s, spec):
     s1, s2, s3 = (complex(v) for v in s)
     h = lambda v: (1 + v) / 2
     lhs = xi_d(MultiXiParams.make(rho, [h(s1), h(s2), h(s3)]), spec).value
 
-    def bracket(k, sk, arg_builder):
-        rkk = a[k, k]
+    def bracket(mat, k, sk, xs):
+        """Axis k of mat integrated out: the reduced 2D pair at the shifts 1 - sk and
+        -(1 + sk), xs being the arguments of the other two axes."""
+        b = mat.array()
+        rkk = b[k, k]
+        col = [b[i, k] for i in range(3) if i != k]
         pref = (np.sqrt(PI) / 2) * np.exp((1 + sk**2) / (64 * rkk)) / np.sqrt(rkk)
         plus = np.exp(-sk / (32 * rkk))
         minus = np.exp(sk / (32 * rkk))
-        m_red, args_p, args_m = arg_builder()
-        return pref * (plus * _xi2(m_red, args_p, spec) - minus * _xi2(m_red, args_m, spec))
+        args_p = [h(x + (1 - sk) * c / rkk) for x, c in zip(xs, col)]
+        args_m = [h(x - (1 + sk) * c / rkk) for x, c in zip(xs, col)]
+        red = mat.reduce_k(k)
+        return pref * (plus * _xi2(red, args_p, spec) - minus * _xi2(red, args_m, spec))
 
-    # first route: flip axis 3
-    def build3():
-        red = rho.reduce_k(2)
-        args_p = [h(s1 + (1 - s3) * a[0, 2] / a[2, 2]), h(s2 + (1 - s3) * a[1, 2] / a[2, 2])]
-        args_m = [h(s1 - (1 + s3) * a[0, 2] / a[2, 2]), h(s2 - (1 + s3) * a[1, 2] / a[2, 2])]
-        return red, args_p, args_m
-
-    rhs1 = xi_d(MultiXiParams.make(rho.flip_k(2), [h(s1), h(s2), h(-s3)]), spec).value + bracket(2, s3, build3)
-
-    # second route: flip axis 1 then axis 2
-    def build1():
-        red = rho.reduce_k(0)
-        args_p = [h(s2 + (1 - s1) * a[0, 1] / a[0, 0]), h(s3 + (1 - s1) * a[0, 2] / a[0, 0])]
-        args_m = [h(s2 - (1 + s1) * a[0, 1] / a[0, 0]), h(s3 - (1 + s1) * a[0, 2] / a[0, 0])]
-        return red, args_p, args_m
-
-    def build2():
-        red = rho.flip_k(0).reduce_k(1)
-        args_p = [h(-s1 - (1 - s2) * a[0, 1] / a[1, 1]), h(s3 + (1 - s2) * a[1, 2] / a[1, 1])]
-        args_m = [h(-s1 + (1 + s2) * a[0, 1] / a[1, 1]), h(s3 - (1 + s2) * a[1, 2] / a[1, 1])]
-        return red, args_p, args_m
-
+    # first route: flip axis 3; second route: flip axis 1 then axis 2
+    rhs1 = xi_d(MultiXiParams.make(rho.flip_k(2), [h(s1), h(s2), h(-s3)]), spec).value + bracket(
+        rho, 2, s3, [s1, s2])
     rhs2 = (
         xi_d(MultiXiParams.make(rho.flip_k(2), [h(-s1), h(-s2), h(s3)]), spec).value
-        + bracket(0, s1, build1)
-        + bracket(1, s2, build2)
+        + bracket(rho, 0, s1, [s2, s3])
+        + bracket(rho.flip_k(0), 1, s2, [-s1, s3])
     )
     # report the worse of the two displayed equalities
     worse = rhs1 if abs(lhs - rhs1) >= abs(lhs - rhs2) else rhs2
@@ -431,8 +386,8 @@ def step4_matrix(rho, gamma, s) -> RhoMatrix:
     ])
 
 
-def _verify_rewrite_3d_a(extras, tol, spec):
-    mat = step4_matrix(extras["rho"], extras["gamma"], extras["s"])
+def _verify_rewrite_3d_a(rho, gamma, s, spec):
+    mat = step4_matrix(rho, gamma, s)
     mat.require_convergent()
     half = [0.5, 0.5, 0.5]
     lhs = xi_d(MultiXiParams.make(mat, half), spec).value
@@ -454,8 +409,8 @@ def step7_matrix_and_args(rho, gamma, s):
     return mat, a_hi, a_lo, b_plus, b_minus
 
 
-def _verify_rewrite_3d_b(extras, tol, spec):
-    mat, a_hi, a_lo, b_plus, b_minus = step7_matrix_and_args(extras["rho"], extras["gamma"], extras["s"])
+def _verify_rewrite_3d_b(rho, gamma, s, spec):
+    mat, a_hi, a_lo, b_plus, b_minus = step7_matrix_and_args(rho, gamma, s)
     mat.require_convergent()
     flip = mat.flip_k(1)
     lhs = (
@@ -478,21 +433,19 @@ def rewrite_2d_matrix_and_args(rho, alpha, s, n: int):
     return mat, a1, a2, b2
 
 
-def _verify_rewrite_2d(extras, tol, spec):
-    rho, alpha, s, n = extras["rho"], extras["alpha"], extras["s"], extras.get("n", 0)
+def _verify_rewrite_2d(rho, alpha, s, n, spec):
     mat, a1, a2, b2 = rewrite_2d_matrix_and_args(rho, alpha, s, n)
     mat.require_convergent()
     # stated premise: Re(alpha s) < sqrt(Re alpha * Re(rho + alpha s^2)), taken on real parts
     a = mat.array()
-    if (complex(alpha) * complex(s)).real >= math.sqrt(a[1, 1].real * a[0, 0].real):
-        raise DomainError("rewrite_2d premise Re(alpha s) < sqrt(Re alpha Re(rho + alpha s^2)) fails")
+    if (alpha * s).real >= math.sqrt(a[1, 1].real * a[0, 0].real):
+        raise DomainError("premise Re(alpha s) < sqrt(Re alpha Re(rho + alpha s^2)) fails")
     lhs = xi_d(MultiXiParams.make(mat, [a1, a2]), spec).value
     rhs = xi_d(MultiXiParams.make(mat.flip_k(1), [a1, b2]), spec).value
     return lhs, rhs, 2
 
 
-def _verify_mobius(extras, tol, spec):
-    rho, alpha, s = complex(extras["rho"]), complex(extras["alpha"]), complex(extras["s"])
+def _verify_mobius(rho, alpha, s, spec):
     mat = RhoMatrix.from_array([[rho + alpha * s**2, alpha * s], [alpha * s, alpha]])
     mat.require_convergent()
     flip = mat.flip_k(1)
@@ -508,46 +461,85 @@ def _verify_mobius(extras, tol, spec):
     return lhs, rhs, 4
 
 
-def verify(identity, rho=None, s=None, extras=None, tol=None, spec=None) -> VerificationReport:
-    """Evaluate both sides of a named identity and build the report."""
-    ident = identity if isinstance(identity, IdentityId) else IdentityId(identity)
-    extras = dict(extras or {})
-    tol = tol if tol is not None else DEFAULT_TOL[ident.kind]
-    params = {"rho": str(rho), "s": str(s), **{k: str(v) for k, v in extras.items()}}
-    kind = ident.kind
-    if kind == "telescope":
-        m = ident.index if ident.index is not None else int(extras.get("m", 0))
-        params["m"] = m
-        lhs, rhs, ev = _verify_telescope(m, rho, s, tol, spec)
-    elif kind == "sk_flip":
-        k = ident.index if ident.index is not None else int(extras.get("k", 0))
-        params["k"] = k
-        lhs, rhs, ev = _verify_sk_flip(k, rho, s, tol, spec)
-    elif kind == "fun1":
-        lhs, rhs, ev = _verify_fun1(rho, s, tol, spec)
-    elif kind == "fun11":
-        lhs, rhs, ev = _verify_fun11(rho, s, tol, spec)
-    elif kind == "funcor1":
-        lhs, rhs, ev = _verify_funcor1(rho, s, tol, spec)
-    elif kind == "funcor2":
-        lhs, rhs, ev = _verify_funcor2(rho, s, tol, spec)
-    elif kind == "rho12_roots":
-        lhs, rhs, ev = _verify_rho12_roots(extras, tol)
-    elif kind == "mean_value":
-        lhs, rhs, ev = _verify_mean_value(rho, s, tol, spec)
-    elif kind == "result3d":
-        lhs, rhs, ev = _verify_result3d(rho, s, tol, spec)
-    elif kind == "sixterm":
-        lhs, rhs, ev = _verify_sixterm(rho, s, tol, spec)
-    elif kind == "rewrite_3d_a":
-        lhs, rhs, ev = _verify_rewrite_3d_a(extras, tol, spec)
-    elif kind == "rewrite_3d_b":
-        lhs, rhs, ev = _verify_rewrite_3d_b(extras, tol, spec)
-    elif kind == "rewrite_2d":
-        lhs, rhs, ev = _verify_rewrite_2d(extras, tol, spec)
+_REWRITE_3D = {"rho": complex, "gamma": complex, "s": complex}
+
+IDENTITIES: dict[str, Identity] = {
+    "telescope": Identity(_verify_telescope, 1e-9, "scalar", index="m"),
+    "sk_flip": Identity(_verify_sk_flip, 1e-6, "matrix", index="k"),
+    "fun1": Identity(_verify_fun1, 1e-6, "matrix", d=2),
+    "fun11": Identity(_verify_fun11, 1e-6, "matrix", d=2),
+    "funcor1": Identity(_verify_funcor1, 1e-7, "equal_diagonal"),
+    "funcor2": Identity(_verify_funcor2, 1e-7, "equal_diagonal"),
+    "rho12_roots": Identity(_verify_rho12_roots, 1e-10, "extras", extras={
+        "gamma": complex, "n": int, "s2": complex, "branch": 1, "nprime": 0}),
+    "mean_value": Identity(_verify_mean_value, 1e-7, "matrix", d=2),
+    "result3d": Identity(_verify_result3d, 1e-5, "matrix", d=3),
+    "sixterm": Identity(_verify_sixterm, 1e-5, "matrix", d=3),
+    "rewrite_3d_a": Identity(_verify_rewrite_3d_a, 1e-5, "extras", extras=_REWRITE_3D),
+    "rewrite_3d_b": Identity(_verify_rewrite_3d_b, 1e-4, "extras", extras=_REWRITE_3D),
+    "rewrite_2d": Identity(_verify_rewrite_2d, 1e-6, "extras", extras={
+        "rho": complex, "alpha": complex, "s": complex, "n": 0}),
+    "mobius_rewrite": Identity(_verify_mobius, 1e-6, "extras", extras={
+        "rho": complex, "alpha": complex, "s": complex}),
+}
+
+
+def _inputs(ident: IdentityId, entry: Identity, rho, s, extras: dict) -> dict:
+    """The check's keyword inputs, normalised and validated against the entry's shape."""
+    kind, out = ident.kind, {}
+    if entry.index:
+        out[entry.index] = int(extras.pop(entry.index, 0) if ident.index is None else ident.index)
+    unknown = set(extras) - set(entry.extras)
+    if unknown:
+        raise DomainError(f"{kind} takes no extras {sorted(unknown)}")
+    if entry.inputs == "extras":
+        for name, decl in entry.extras.items():
+            if isinstance(decl, type) and name not in extras:
+                raise DomainError(f"{kind} needs the extra {name!r}")
+            out[name] = (decl if isinstance(decl, type) else type(decl))(extras.get(name, decl))
+        return out
+    if rho is None or s is None:
+        raise DomainError(f"{kind} needs rho and s")
+    if entry.inputs == "scalar":
+        return {"rho": complex(rho), "s": complex(s), **out}
+    rho = _as_rho(rho)
+    d = 2 if entry.inputs == "equal_diagonal" else entry.d
+    if d is not None and rho.d != d:
+        raise DomainError(f"{kind} is a d={d} identity")
+    if entry.inputs == "equal_diagonal":
+        if rho.entries[0][0] != rho.entries[1][1]:
+            raise DomainError(f"{kind} needs a symmetric 2x2 matrix with rho11 = rho22")
+        s = complex(s)
     else:
-        lhs, rhs, ev = _verify_mobius(extras, tol, spec)
-    return _report(ident, params, lhs, rhs, tol, ev)
+        s = np.atleast_1d(np.asarray(s, dtype=complex))
+        if s.shape != (rho.d,):
+            raise DomainError(f"{kind} needs an s vector of length {rho.d}, got shape {s.shape}")
+        if entry.index and not 0 <= out[entry.index] < rho.d:
+            raise DomainError(f"{kind} needs 0 <= {entry.index} < d = {rho.d}")
+    rho.require_convergent()
+    return {"rho": rho, "s": s, **out}
+
+
+def _json(value):
+    """An input as JSON numbers: complex as [re, im], vectors and matrices as lists."""
+    if isinstance(value, int):
+        return value
+    z = np.asarray(value.array() if isinstance(value, RhoMatrix) else value, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def verify(identity, rho=None, s=None, extras=None, tol=None, spec=None) -> VerificationReport:
+    """Evaluate both sides of a named identity and build the report.
+
+    The inputs are checked against the identity's `IDENTITIES` entry (DomainError on
+    a wrong shape); the report's params hold them normalised, as JSON numbers.
+    """
+    ident = identity if isinstance(identity, IdentityId) else IdentityId(identity)
+    entry = IDENTITIES[ident.kind]
+    inputs = _inputs(ident, entry, rho, s, dict(extras or {}))
+    lhs, rhs, evals = entry.check(**inputs, spec=spec)
+    params = {name: _json(value) for name, value in inputs.items()}
+    return _report(ident, params, lhs, rhs, entry.tol if tol is None else tol, evals)
 
 
 # ---------------------------------------------------------------------------

@@ -226,19 +226,23 @@ def mellin_delta4(rho, s, spec: QuadSpec | None = None) -> XiValue:
     return mellin(MellinKernel(ThetaOperator.delta4(), 0, complex(rho), complex(s) / 2), spec)
 
 
+def _delta4_lower_terms(rho: complex, s: complex, spec) -> complex:
+    """M[(Delta_4 Psi) e](s/2) - (4s(s-1) - 32 rho) Xi - 32 rho (1-2s) Xi', which the
+    second-order identification equates with (16 rho)^2 Xi''."""
+    return (
+        mellin_delta4(rho, s, spec).value
+        - (4 * s * (s - 1) - 32 * rho) * xi(rho, s, spec).value
+        - 32 * rho * (1 - 2 * s) * xi_ds(rho, s, 1, spec).value
+    )
+
+
 def delta4_identity_residual(rho, s, spec: QuadSpec | None = None) -> float:
     """Residual of the second-order identification
 
     M[(Delta_4 Psi) e](s/2) = (4s(s-1) - 32 rho) Xi + 32 rho (1-2s) Xi' + (16 rho)^2 Xi''.
     """
     rho, s = complex(rho), complex(s)
-    lhs = mellin_delta4(rho, s, spec).value
-    rhs = (
-        (4 * s * (s - 1) - 32 * rho) * xi(rho, s, spec).value
-        + 32 * rho * (1 - 2 * s) * xi_ds(rho, s, 1, spec).value
-        + (16 * rho) ** 2 * xi_ds(rho, s, 2, spec).value
-    )
-    return abs(lhs - rhs)
+    return abs(_delta4_lower_terms(rho, s, spec) - (16 * rho) ** 2 * xi_ds(rho, s, 2, spec).value)
 
 
 def d_rho_xi(rho, s, spec: QuadSpec | None = None) -> XiValue:
@@ -248,7 +252,7 @@ def d_rho_xi(rho, s, spec: QuadSpec | None = None) -> XiValue:
 
 
 def heat_residual(rho, s, spec: QuadSpec | None = None) -> float:
-    """|d_rho Xi + 4 d^2_s Xi|; both sides are the same log moment."""
-    a = d_rho_xi(rho, s, spec)
-    b = xi_ds(rho, s, 2, spec)
-    return abs(a.value + 4 * b.value)
+    """|d_rho Xi + 4 d^2_s Xi|: d_rho Xi is the ln^2 log moment, d^2_s Xi comes from the
+    Delta_4 identification (`delta4_identity_residual`), so the sides are different integrals."""
+    rho, s = complex(rho), complex(s)
+    return abs(d_rho_xi(rho, s, spec).value + 4 * _delta4_lower_terms(rho, s, spec) / (16 * rho) ** 2)

@@ -144,7 +144,9 @@ def jensen_flip_residual(rho, s, k: int, spec: QuadSpec | None = None) -> float:
 def heat_residual_multi(rho, s, i: int, j: int, spec: QuadSpec | None = None) -> float:
     """|d_rho_ij Xi + 8/(1+delta_ij) d^2_{s_i s_j} Xi|, both as one log-moment integral.
 
-    d_rho_ij inserts -(2 - delta_ij) x_i x_j, the s-derivatives insert x_i x_j / 4.
+    d_rho_ij inserts -(2 - delta_ij) x_i x_j, the s-derivatives insert x_i x_j / 4, so
+    the residual is zero by algebra: there is no independent route to d^2_{s_i s_j} Xi
+    at 1e-12 yet (a central finite difference in rho_ij agrees to about 1e-6).
     """
     params = MultiXiParams.make(rho, s, "theta")
     d = params.rho.d

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from xideform.cli import main, parse_complex, parse_range, parse_rho_matrix
+from xideform.cli import build_parser, main, parse_complex, parse_range, parse_rho_matrix
+from xideform.funceq import IDENTITIES, verify
+from xideform.quadrature import QuadSpec
 
 
 def run_cli(args, capsys):
@@ -217,3 +219,51 @@ def test_grid_range_with_leading_minus(capsys):
     assert code == 0, err
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [float(r[0]) for r in rows] == [-0.5, -0.5, 0.5, 0.5, 1.5, 1.5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sk_flip", "--k", "5", "--rho-matrix", "1,0.2;0.2,1", "--s", "0.5,0.5"],
+    ["verify", "fun1", "--rho-matrix", "1,0.2;0.2,1", "--s", "0.5"],
+])
+def test_verify_wrong_shape_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_choices_are_the_registry_ids_with_options(capsys):
+    parser = build_parser()
+    accepted = set()
+    for kind in IDENTITIES:
+        try:
+            parser.parse_args(["verify", kind])
+            accepted.add(kind)
+        except SystemExit:
+            assert "invalid choice" in capsys.readouterr().err
+    # rewrite_2d and mobius_rewrite need an alpha, which has no option
+    assert accepted == {
+        "telescope", "sk_flip", "fun1", "fun11", "funcor1", "funcor2", "mean_value", "result3d",
+        "sixterm", "rho12_roots", "rewrite_3d_a", "rewrite_3d_b",
+    }
+
+
+def test_verify_rewrite_3d_a_from_rho_gamma_s(capsys):
+    code, out, _ = run_cli(["verify", "rewrite_3d_a", "--rho", "0.5", "--gamma", "0.3", "--s", "0"], capsys)
+    assert code == 0
+    assert json.loads(out.strip())["params"] == {"rho": [0.5, 0.0], "gamma": [0.3, 0.0], "s": [0.0, 0.0]}
+
+
+def _complex(value):
+    """Decode a report's [re, im] pairs, nested in lists for vectors and matrices."""
+    return complex(*value) if isinstance(value[0], float) else [_complex(v) for v in value]
+
+
+def test_verify_seeded_params_rebuild_the_report(capsys):
+    code, out, _ = run_cli(["verify", "fun1", "--seed", "3"], capsys)
+    assert code == 0
+    rec = json.loads(out.strip())
+    params = rec["params"]
+    again = verify(rec["id"], rho=_complex(params["rho"]), s=_complex(params["s"]),
+                   spec=QuadSpec(abs_tol=1e-12, rel_tol=1e-10))
+    assert again.to_dict() == rec

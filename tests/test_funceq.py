@@ -7,6 +7,7 @@ import pytest
 
 from xideform.errors import DegenerateParameterError, DomainError
 from xideform.funceq import (
+    IDENTITIES,
     IdentityId,
     candidate_zeros,
     critical_sum_rescaled,
@@ -316,3 +317,57 @@ def test_sk_flip_random_draws(seed):
     s = rng.normal(scale=0.8, size=2) + 1j * 0.3 * rng.normal(size=2)
     rep = verify(IdentityId("sk_flip", int(rng.integers(0, 2))), rho=rho, s=s, tol=1e-6)
     assert rep.passed
+
+
+# first imaginary-axis root y of Xi_0.5((1+iy)/2) + Xi_0.5((1-iy)/2), located by zero_scan
+# as in test_criterion_11_rewrite_propositions
+Y_STAR = 5.6238187039562035
+RHO_2 = [[1.0, 0.2], [0.2, 0.8]]
+RHO_3 = [[1.2, 0.15, -0.1], [0.15, 1.0, 0.2], [-0.1, 0.2, 0.9]]
+FUNCOR_RHO = [[1.0, 0.1], [0.1, 1.0]]
+REGISTRY_CASES = {  # id: verify keywords of one passing input
+    "telescope": dict(rho=0.5, s=2 + 3j, extras={"m": 1}),
+    "sk_flip": dict(rho=RHO_2, s=[1 + 1j, 0.5], extras={"k": 1}),
+    "fun1": dict(rho=RHO_2, s=[1 + 1j, 0.5]),
+    "fun11": dict(rho=RHO_2, s=[1 + 1j, 0.5]),
+    "funcor1": dict(rho=FUNCOR_RHO, s=candidate_zeros("funcor1", FUNCOR_RHO, [0])[0]),
+    "funcor2": dict(rho=FUNCOR_RHO, s=candidate_zeros("funcor2", FUNCOR_RHO, [0])[0]),
+    "rho12_roots": dict(extras={"gamma": 1.0, "n": 1, "s2": 0.3}),
+    "mean_value": dict(rho=[[1.2, 0.1], [0.1, 1.0]], s=[0.8, 0.6]),
+    "result3d": dict(rho=RHO_3, s=[0.9 + 0.3j, -0.2, 1.4]),
+    "sixterm": dict(rho=RHO_3, s=[0.2, 0.3, 0.4]),
+    # the trivial root s = 0; at s = i Y_STAR the convergent gammas cost seconds at d = 3
+    "rewrite_3d_a": dict(extras={"rho": 0.5, "gamma": 0.3, "s": 0.0}),
+    "rewrite_3d_b": dict(extras={"rho": 0.5, "gamma": 5e-3, "s": 1j * Y_STAR}),
+    "rewrite_2d": dict(extras={"rho": 0.5, "alpha": 0.01, "s": 1j * Y_STAR, "n": 0}),
+    "mobius_rewrite": dict(extras={"rho": 0.5, "alpha": 0.01, "s": 1j * Y_STAR}),
+}
+
+
+@pytest.mark.parametrize("kind", list(IDENTITIES))
+def test_every_registry_identity_passes_at_its_default_tolerance(kind):
+    rep = verify(kind, **REGISTRY_CASES[kind])
+    assert rep.passed, f"{rep.id}: relative residual {rep.rel_residual:.2e}"
+    assert rep.tolerance == IDENTITIES[kind].tol
+    json.dumps(rep.to_dict())
+
+
+def test_wrong_matrix_dimension_is_a_domain_error():
+    rho3 = [[1.2, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(DomainError):
+        verify("mean_value", rho=rho3, s=[0.8, 0.6])
+
+
+def test_index_on_an_identity_without_one_is_rejected():
+    with pytest.raises(DomainError):
+        IdentityId("fun1", 3)
+
+
+def test_params_are_the_same_for_list_and_array_inputs():
+    rho, s = [[1.2, 0.1], [0.1, 1.0]], [0.8, 0.6 + 0.1j]
+    as_lists = verify("mean_value", rho=rho, s=s)
+    as_arrays = verify("mean_value", rho=np.array(rho), s=np.array(s))
+    as_matrix = verify("mean_value", rho=RhoMatrix.from_array(rho), s=tuple(s))
+    assert as_lists.params == as_arrays.params == as_matrix.params
+    assert as_lists.params_hash() == as_arrays.params_hash() == as_matrix.params_hash()
+    assert as_lists.params["s"] == [[0.8, 0.0], [0.6, 0.1]]

@@ -157,6 +157,11 @@ def test_heat_residual_same_moment():
     assert heat_residual(0.5, 1 + 1j) < 1e-12
 
 
+def test_heat_residual_compares_independent_integrals():
+    # d_rho Xi (the ln^2 moment) against d^2_s Xi from the Delta_4 kernel: not zero by algebra
+    assert 0 < heat_residual(0.1, -0.5 + 20j) < 1e-12
+
+
 def test_heat_finite_difference_cross_check():
     rho, s, h = 1.0, 1 + 1j, 1e-4
     fd_rho = (xi(rho + h, s).value - xi(rho - h, s).value) / (2 * h)
