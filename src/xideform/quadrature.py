@@ -82,7 +82,9 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
     sum over the all-even subgrid already held.  h is halved, evaluating only the
     2^d - 1 parity classes of new nodes (the odd nodes at d = 1), until the estimate
     is within max(abs_tol, rel_tol |T_h|, rounding floor) for every component;
-    NonConvergenceError is raised once the next grid would pass the node budget.
+    NonConvergenceError is raised once the next grid would pass the node budget.  At
+    d >= 2 the classes with an even axis receive the previous grid's own node arrays,
+    so node_sums can reuse per-axis data it computed for them.
     """
     x_lo, x_hi, omega = ([float(v)] if np.isscalar(v) else [float(u) for u in v] for v in (x_lo, x_hi, omega))
     d = len(x_lo)
@@ -101,9 +103,9 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
     s_even, peak = node_sums(*grid)
     evals = math.prod(x.size for x in grid)
     while True:
-        # the even nodes of a halving are the previous grid, so every class with an odd
-        # axis is new (at d = 1 only the odd nodes are needed)
-        parts = [(nodes(i, 0.0) if d > 1 else None, nodes(i, h[i])) for i in range(d)]
+        # the even nodes of a halving are the previous grid, passed as the same arrays,
+        # so every class with an odd axis is new (at d = 1 only the odd nodes are needed)
+        parts = [(grid[i], nodes(i, h[i])) for i in range(d)]
         s_new = 0.0
         for parity in parities:
             axes = [parts[i][p] for i, p in enumerate(parity)]
@@ -125,6 +127,7 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
                 error_estimate=float(np.max(err)),
             )
         s_even, h = s_even + s_new, [step / 2 for step in h]
+        grid = [nodes(i, 0.0) for i in range(d)]
 
 
 def _summed(vals) -> tuple[complex, float]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,7 +144,7 @@ class ThetaOperator:
 
     def left_tail_coeffs(self):
         """(c1, c2) with (op Psi)(t) = c1 t^(-1/2) + c2 exactly for t below ~e^-5."""
-        return self.at(-0.5) / 2.0, -self.at(0.0) / 2.0
+        return _op_polys(self)[2]
 
 
 def term_count(t_min: float, weight_degree: int, eps: float = DEFAULT_EPS) -> int:
@@ -173,8 +174,21 @@ def _series(upoly: np.ndarray, t: np.ndarray, eps: float) -> np.ndarray:
     n_terms = term_count(float(t.min()), len(upoly) - 1, eps / scale)
     n = np.arange(1, n_terms + 1, dtype=float)
     u = PI * np.outer(n * n, t)
-    vals = np.polynomial.polynomial.polyval(u, upoly, tensor=False) * np.exp(-u)
-    return vals.sum(axis=0)
+    # Horner's rule, as numpy's polyval evaluates it, without its per-call set-up
+    p = upoly[-1] + u * 0
+    for c in upoly[-2::-1]:
+        p = c + p * u
+    return (p * np.exp(-u)).sum(axis=0)
+
+
+@lru_cache(maxsize=64)
+def _op_polys(op: ThetaOperator):
+    """(upoly, reflected upoly, left-tail coefficients) of op, built once per operator
+    value: the constructors return a fresh instance on every call, so the cache is keyed
+    by value, not held on the instance.  The arrays are shared, hence read-only."""
+    up, refl = op.upoly(), op.reflected().upoly()
+    up.flags.writeable = refl.flags.writeable = False
+    return up, refl, (op.at(-0.5) / 2.0, -op.at(0.0) / 2.0)
 
 
 def theta_values(op: ThetaOperator, t, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -183,14 +197,12 @@ def theta_values(op: ThetaOperator, t, eps: float = DEFAULT_EPS) -> np.ndarray:
     if np.any(t <= 0.0):
         raise DomainError("theta operators require t > 0")
     out = np.empty(t.shape, dtype=complex)
-    up = op.upoly()
+    up, refl, (c1, c2) = _op_polys(op)
     big = t >= SMALL_T
     if big.any():
         out[big] = _series(up, t[big], eps)
     if (~big).any():
         ts = t[~big]
-        refl = op.reflected().upoly()
-        c1, c2 = op.left_tail_coeffs()
         inv_sqrt = 1.0 / np.sqrt(ts)
         out[~big] = inv_sqrt * _series(refl, 1.0 / ts, eps) + c1 * inv_sqrt + c2
     return out

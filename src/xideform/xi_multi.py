@@ -5,7 +5,9 @@ exp(-2 sum_{i<j} rho_ij x_i x_j).  Each axis contributes node data in polar form
 phase and a real log-magnitude, to survive the t^{-1/2}/2 growth of the theta sum
 far on the left), and the node sums of the shared log-axis trapezoid rule contract
 them through the coupling: a matrix product at d = 2, one tensor contraction at
-d = 3.  The rule's |T_h - T_2h| is the error estimate.
+d = 3.  The exponent tensor is real, built from Re rho_ij; an imaginary coupling
+enters as the pair phase factors exp(-2i Im rho_ij x_i x_j), each over two axes,
+multiplied in after the exponential.  The rule's |T_h - T_2h| is the error estimate.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
     held = {}
 
     def axis_data(j, x):
-        # one halving passes the same node array to 2^(d-1) parity classes; holding
-        # the array keeps its id from being reused
+        # a grid's node array reaches 2^(d-1) parity classes, and the next halving as
+        # its even nodes; holding the array keeps its id from being reused
         if (j, id(x)) not in held:
             held[j, id(x)] = x, _axis_data(op, x, s[j] / 2, a[j, j], powers[j])
         return held[j, id(x)][1]
@@ -102,18 +104,22 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
         # axis j of the tensor product runs along dimension j; its couplings to the
         # earlier axes join its own exponent, so only two additions span all d axes
         along = [x.reshape((-1,) + (1,) * (d - 1 - j)) for j, x in enumerate(xs)]
-        phases, expo = [], 0.0
+        phases, twists, expo = [], [], 0.0
         for j in range(d):
             phase, term = axis_data(j, xs[j])
             term = term.reshape(along[j].shape)
             for i in range(j):
-                if a[i, j] != 0:
-                    term = term - 2 * a[i, j] * along[i] * along[j]
+                if a[i, j].real:
+                    term = term - 2 * a[i, j].real * along[i] * along[j]
+                if a[i, j].imag:
+                    twists.append(np.exp(-2j * a[i, j].imag * along[i] * along[j]))
             phases.append(phase)
             expo = expo + term
-        top = float(np.max(np.real(expo)))
+        top = float(np.max(expo))
         _check_peak(top)
-        total = np.exp(expo)
+        total = np.exp(expo)  # on reals: a small fraction of the cost of a complex exp
+        for twist in twists:
+            total = total * twist
         for phase in reversed(phases):
             # a real tensor meets the complex phases as two real products, not one cast
             total = total @ phase if np.iscomplexobj(total) else total @ phase.real + 1j * (total @ phase.imag)

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from xideform.errors import DomainError, UnsupportedOrderError
 from xideform.theta import (
+    DEFAULT_EPS,
+    SMALL_T,
     ThetaOperator,
+    _op_polys,
     apply_theta_op,
     functional_residual,
     psi,
@@ -169,3 +172,32 @@ def test_vectorized_matches_scalar():
     vec = theta_values(ThetaOperator.h(4.0), ts)
     for i, t in enumerate(ts):
         assert vec[i] == pytest.approx(apply_theta_op(ThetaOperator.h(4.0), float(t)), rel=1e-14)
+
+
+def _reference_series(upoly, t):
+    """_series as written with numpy's polyval, from polynomials built afresh."""
+    n_terms = term_count(float(t.min()), len(upoly) - 1, DEFAULT_EPS / (1.0 + float(np.abs(upoly).sum())))
+    n = np.arange(1, n_terms + 1, dtype=float)
+    u = math.pi * np.outer(n * n, t)
+    return (np.polynomial.polynomial.polyval(u, upoly, tensor=False) * np.exp(-u)).sum(axis=0)
+
+
+@pytest.mark.parametrize("op", [
+    ThetaOperator.plain(), ThetaOperator.h(4.0), ThetaOperator.delta4(),
+    ThetaOperator.delta4_power(3), ThetaOperator.delta(0.7 + 0.2j),
+], ids=lambda op: op.name)
+def test_cached_polynomials_give_the_same_bits(op):
+    t = np.exp(np.linspace(-5.0, 4.0, 200))
+    big = t >= SMALL_T
+    ts = t[~big]
+    ref = np.empty(t.shape, dtype=complex)
+    ref[big] = _reference_series(op.upoly(), t[big])
+    inv_sqrt = 1.0 / np.sqrt(ts)
+    c1, c2 = op.at(-0.5) / 2.0, -op.at(0.0) / 2.0
+    ref[~big] = inv_sqrt * _reference_series(op.reflected().upoly(), 1.0 / ts) + c1 * inv_sqrt + c2
+    theta_values(op, t)  # a second call reads the cache
+    assert np.array_equal(theta_values(op, t), ref)
+    up, refl, _ = _op_polys(op)
+    assert not up.flags.writeable and not refl.flags.writeable
+    with pytest.raises(ValueError):
+        up[0] = 0.0

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xideform import xi_multi
 from xideform.errors import DomainError, NonConvergenceError
+from xideform.funceq import sample_convergent_rho
 from xideform.quadrature import QuadSpec, panel_nodes
 from xideform.theta import ThetaOperator
 from xideform.xi_core import mellin, MellinKernel, mellin_many, xi
@@ -52,6 +54,35 @@ def test_d3_diagonal_factorization():
     joint = xi_d(MultiXiParams.make(rho, s)).value
     product = xi(0.5, 0.4).value * xi(0.8, 1.0).value * xi(1.2, 1.6).value
     assert abs(joint - product) < 1e-7 * max(1.0, abs(product))
+
+
+def test_d3_complex_block_factorization():
+    # Im rho_12 != 0 enters the d = 3 sum as a pair phase; rho_13 = rho_23 = 0 splits off axis 3
+    r12 = 0.25 + 0.2j
+    s = [0.4 + 0.1j, 0.6 - 0.3j, 0.3 + 0.5j]
+    joint = xi_d(MultiXiParams.make([[1.0, r12, 0.0], [r12, 0.9, 0.0], [0.0, 0.0, 1.2]], s)).value
+    block = xi_d(MultiXiParams.make([[1.0, r12], [r12, 0.9]], s[:2])).value
+    product = block * xi(1.2, s[2]).value
+    assert abs(joint - product) <= 1e-14 * abs(product)
+
+
+@pytest.mark.parametrize("rho,s", [
+    ([[1.0, 0.2], [0.2, 0.8]], [0.4, 0.6]),
+    (sample_convergent_rho(3, 3, imag_scale=0.0), [0.4, 0.6, 0.3]),
+])
+def test_axis_data_once_per_axis_and_parity(monkeypatch, rho, s):
+    # a xi_d accepted on its first grid computes each axis's data twice: for its even
+    # nodes (the first grid) and its odd nodes, whatever the parity classes using them
+    calls = []
+    axis_data = xi_multi._axis_data
+
+    def counted(*args):
+        calls.append(args)
+        return axis_data(*args)
+
+    monkeypatch.setattr(xi_multi, "_axis_data", counted)
+    xi_d(MultiXiParams.make(rho, s))
+    assert len(calls) == 2 * len(s)
 
 
 def test_jensen_flip_d1():
