@@ -8,6 +8,7 @@ Exit codes: 0 success / verification pass, 1 verification fail, 2 usage or domai
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,7 +22,8 @@ from .funceq import IDENTITIES, IdentityId, candidate_zeros, sample_convergent_r
 from .gaussmat import RhoMatrix
 from .ode_solutions import a_pm, canonical_decomposition
 from .quadrature import QuadSpec
-from .xi_core import xi, xi_sum_m, xi_tilde, xi_tilde_sum_m
+from .theta import ThetaOperator
+from .xi_core import mellin_many, xi, xi_sum_m, xi_tilde
 from .xi_multi import MultiXiParams, xi_d
 
 _NUM = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
@@ -199,23 +201,29 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeros(args) -> int:
+    """Every confirmation in one batched transform: Xi at each root, at its mirror
+    1-m-root and at their shifts +l, l = 0..m."""
     spec = _spec_from_args(args)
     rho = parse_complex(args.rho)
+    m = args.m
+    if m < 0:
+        raise DomainError("m must be >= 0")
     ks = range(-(args.count // 2), args.count - args.count // 2)
-    roots = candidate_zeros(args.family, rho, ks, m=args.m)
-    rows = []
-    for k, root in zip(ks, roots):
-        mirror = 1 - args.m - root
+    roots = np.array(candidate_zeros(args.family, rho, ks, m=m), dtype=complex)
+    diffs = np.zeros(roots.shape)
+    if roots.size:
+        shifts = np.arange(m + 1)
+        points = np.stack([roots, 1 - m - roots])[:, None, :] + shifts[None, :, None]
         if args.family == "tilde":
-            # Xi~^m(s) + (-1)^m Xi~^m(1-m-s) vanishes on the tilde family
-            diff = xi_tilde_sum_m(rho, root, args.m, spec).value + (-1) ** args.m * xi_tilde_sum_m(
-                rho, mirror, args.m, spec).value
+            # Xi~^m(s) + (-1)^m Xi~^m(1-m-s), Xi~^m alternating, vanishes on the tilde family
+            op, signs, mirror_sign = ThetaOperator.h(4.0), (-1.0) ** shifts, (-1.0) ** m
         else:
-            diff = xi_sum_m(rho, root, args.m, spec).value - xi_sum_m(rho, mirror, args.m, spec).value
-        rows.append({
-            "k": k, "root_re": root.real, "root_im": root.imag,
-            "confirm_residual": abs(diff),
-        })
+            op, signs, mirror_sign = ThetaOperator.plain(), np.ones(m + 1), -1.0
+        values, _ = mellin_many(op, rho, points.reshape(-1) / 2, 0, spec)
+        at_root, at_mirror = signs @ values.reshape(points.shape)
+        diffs = np.abs(at_root + mirror_sign * at_mirror)
+    rows = [{"k": k, "root_re": root.real, "root_im": root.imag, "confirm_residual": float(diff)}
+            for k, root, diff in zip(ks, roots, diffs)]
     _emit(args, rows, header=["k", "root_re", "root_im", "confirm_residual"])
     return 0
 
@@ -239,22 +247,25 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    """One batched transform per Re s row; a row's quad_error is that row's bound."""
     spec = _spec_from_args(args)
     rho = parse_complex(args.rho)
+    ims = parse_range(args.im)
     rows = []
     for re_part in parse_range(args.re):
-        for im_part in parse_range(args.im):
-            val = xi(rho, complex(re_part, im_part), spec)
-            rows.append({
-                "s_re": float(re_part), "s_im": float(im_part),
-                "value_re": val.value.real, "value_im": val.value.imag,
-                "quad_error": float(val.quad_error),
-            })
+        values, quad_error = mellin_many(ThetaOperator.plain(), rho, (re_part + 1j * ims) / 2, 0, spec)
+        rows.extend({
+            "s_re": float(re_part), "s_im": float(im_part),
+            "value_re": val.real, "value_im": val.imag,
+            "quad_error": quad_error,
+        } for im_part, val in zip(ims, values))
     _emit(args, rows, header=["s_re", "s_im", "value_re", "value_im", "quad_error"])
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: argparse parsers can be reused."""
     parser = argparse.ArgumentParser(
         prog="xideform",
         description="Gaussian-deformed Riemann Xi family: evaluation and identity verification",

@@ -574,50 +574,74 @@ def candidate_zeros(family: str, rho, k_range, m: int = 0, rho_mat=None, branch:
 
 
 def zero_scan(f, anchor, direction, length, grid: int, refine_tol: float = 1e-10):
-    """Bracket sign changes of the real-valued reduction of f along a ray and bisect.
+    """Bracket sign changes of the real-valued reduction of f along a ray and refine them.
 
-    f is evaluated at anchor + u * direction for u in [0, length]; its real part
-    must be the symmetry-reduced real quantity.  Returns refined points in the
-    complex plane; empty list when no sign change is found.
+    f maps an array of points anchor + u * direction, u in [0, length], to an array of
+    values whose real parts are the symmetry-reduced real quantity.  The `grid`
+    bracketing points are evaluated in one call; each bracket is then refined one point
+    per call by Illinois regula falsi until it is no wider than refine_tol or f vanishes
+    (`_refine`).  Returns one point in the complex plane per sign change, inside its
+    final bracket; empty list when no sign change is found.
     """
     anchor, direction = complex(anchor), complex(direction)
     us = np.linspace(0.0, float(length), int(grid))
-    vals = np.array([complex(f(anchor + u * direction)).real for u in us])
+    vals = np.real(f(anchor + us * direction))
+    at = lambda u: float(np.real(f(np.array([anchor + u * direction]))[0]))
     roots = []
     for i in range(len(us) - 1):
-        a, b = us[i], us[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(anchor + a * direction)
-            continue
-        if fa * fb >= 0.0:
-            continue
-        while (b - a) * abs(direction) > refine_tol:
-            mid = (a + b) / 2
-            fm = complex(f(anchor + mid * direction)).real
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        roots.append(anchor + (a + b) / 2 * direction)
+        if vals[i] == 0.0:
+            roots.append(anchor + us[i] * direction)
+        elif vals[i] * vals[i + 1] < 0.0:
+            u = _refine(at, us[i], us[i + 1], vals[i], vals[i + 1], refine_tol / abs(direction))
+            roots.append(anchor + u * direction)
     return roots
+
+
+def _refine(g, a, b, fa, fb, width_tol):
+    """A sign change of g in [a, b], fa = g(a) and fb = g(b) of opposite signs, by
+    Illinois regula falsi: the secant step keeps the bracket, and an end kept twice in
+    a row has its weight halved so that the other end moves too.  A secant step stays
+    width_tol / 2 inside the bracket, so an iterate stalled at the rounding floor of g
+    still steps across the root.  Once the evaluations left would not cover bisecting
+    down to width_tol, every step bisects, so at most twice bisection's count is spent.
+    Stops when the bracket is no wider than width_tol or g vanishes; returns the secant
+    point of the final bracket."""
+    wa = wb = 1.0
+    moved = None
+    budget = 2 * math.ceil(math.log2((b - a) / width_tol))
+    while b - a > width_tol:
+        if b - a > width_tol * 2.0 ** (budget - 1):
+            x = (a + b) / 2
+        else:
+            x = a - wa * fa * (b - a) / (wb * fb - wa * fa)
+            x = min(max(x, a + width_tol / 2), b - width_tol / 2)
+        budget -= 1
+        fx = g(x)
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, wa, wb = x, fx, 1.0, wb / 2 if moved == "a" else wb
+            moved = "a"
+        else:
+            b, fb, wb, wa = x, fx, 1.0, wa / 2 if moved == "b" else wa
+            moved = "b"
+        if fx == 0.0:
+            break
+    return a - fa * (b - a) / (fb - fa)
 
 
 def critical_sum_rescaled(rho, spec=None):
     """y -> [Xi_rho((1+iy)/2) + Xi_rho((1-iy)/2)] e^{y^2/64rho}: O(1) on the scan line.
 
     Roots of the sum factor of Xi^2((1+s)/2) - Xi^2((1-s)/2) on s = iy, with the
-    Gaussian decay removed so bisection stays well conditioned.
+    Gaussian decay removed so the refinement stays well conditioned.  y is a scalar or
+    an array, evaluated in one batched transform; a scalar gives a scalar.
     """
     rho = float(rho)
 
     def f(y):
-        y = float(np.real(y))
-        val = 2.0 * xi(rho, 0.5 + 0.5j * y, spec).value.real
-        return val * math.exp(y * y / (64 * rho))
+        ys = np.atleast_1d(np.real(y))
+        vals, _ = mellin_many(ThetaOperator.plain(), rho, (0.5 + 0.5j * ys) / 2, 0, spec)
+        out = 2.0 * vals.real * np.exp(ys * ys / (64 * rho))
+        return out if np.ndim(y) else float(out[0])
 
     return f
 

@@ -392,10 +392,10 @@ def iterated_expansion_residual(rho, n: int, s, spec: QuadSpec | None = None) ->
 
 def find_real_mellin_roots(op: ThetaOperator, rho, lo: float, hi: float, grid: int = 40,
                            spec: QuadSpec | None = None):
-    """Real-axis roots of z -> M[(op Psi) e](z/2) by sign scan and bisection."""
+    """Real-axis roots of z -> M[(op Psi) e](z/2) by sign scan and regula falsi."""
     from .funceq import zero_scan
 
-    f = lambda z: complex(mellin(MellinKernel(op, 0, complex(rho), complex(z) / 2), spec).value)
+    f = lambda z: mellin_many(op, rho, np.asarray(z) / 2, 0, spec)[0]
     return [r.real for r in zero_scan(f, lo, 1.0, hi - lo, grid)]
 
 

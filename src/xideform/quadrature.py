@@ -208,10 +208,13 @@ def plan_axis(lin_re: float, quad_re: float, log_tol: float, theta_like: bool = 
         return (-slope + math.sqrt(slope * slope + 4.0 * quad_re * lam)) / (2.0 * quad_re)
 
     def theta_cut(slope):
-        # right side: slope*x - pi e^x = -lam, iterate
+        # right side: slope*x - pi e^x = -lam, iterate (up to 40 times); once an
+        # iterate repeats, every later one equals it, so stopping there changes no bit
         x = math.log1p(lam / math.pi)
         for _ in range(40):
-            x = math.log1p((lam + max(slope, 0.0) * max(x, 0.0)) / math.pi)
+            x, prev = math.log1p((lam + max(slope, 0.0) * max(x, 0.0)) / math.pi), x
+            if x == prev:
+                break
         return x + 1.0
 
     if not theta_like:

@@ -222,7 +222,7 @@ def test_criterion_11_rewrite_propositions():
     # locate the first imaginary-axis root of the sum factor (also the first root of
     # the squared difference there, since the difference factor is nonzero on (0, 16pi))
     h = critical_sum_rescaled(rho)
-    roots = zero_scan(lambda z: complex(h(z.real)), anchor=4.0, direction=1.0, length=2.0, grid=9)
+    roots = zero_scan(lambda z: h(z.real), anchor=4.0, direction=1.0, length=2.0, grid=9)
     assert roots, "no sum-factor root found in [4, 6]"
     y_star = roots[0].real
     print(f"  sum-factor root at s = {y_star:.12f} i (bisected to 1e-10)")

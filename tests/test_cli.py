@@ -267,3 +267,52 @@ def test_verify_seeded_params_rebuild_the_report(capsys):
     again = verify(rec["id"], rho=_complex(params["rho"]), s=_complex(params["s"]),
                    spec=QuadSpec(abs_tol=1e-12, rel_tol=1e-10))
     assert again.to_dict() == rec
+
+
+@pytest.mark.parametrize("rho", ["0.05", "1"])
+def test_grid_rows_match_scalar_xi(rho, capsys):
+    from xideform.xi_core import xi
+
+    code, out, _ = run_cli(["--output-format", "csv", "grid", "--rho", rho, "--re=-1:1:5", "--im", "0:40:21"], capsys)
+    assert code == 0
+    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 5 * 21
+    for s_re, s_im, value_re, value_im, _ in rows:
+        expected = xi(float(rho), complex(s_re, s_im), spec).value
+        assert abs(complex(value_re, value_im) - expected) <= max(spec.abs_tol, spec.rel_tol * abs(expected))
+
+
+@pytest.mark.parametrize("family", ["telescope", "tilde"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_zeros_confirmed_at_higher_m(family, m, capsys):
+    code, out, _ = run_cli(
+        ["--output-format", "csv", "zeros", "--rho", "0.1", "--count", "9", "--family", family, "--m", str(m)], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 9
+    assert all(float(r[3]) <= 1e-9 for r in rows)
+
+
+def test_grid_keeps_the_cancellation_warning(capsys):
+    from xideform.errors import PrecisionWarning
+
+    with pytest.warns(PrecisionWarning):
+        code, _, _ = run_cli(["--tol", "1e-15", "grid", "--rho", "0.05", "--re=-1:-1:1", "--im", "30:30:1"], capsys)
+    assert code == 0
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(["eval", "--family", "xi", "--rho", "0.7", "--s", "1.3"], capsys)
+    assert code == 0 and json.loads(out.strip())["family"] == "xi"
+    code, out, _ = run_cli(["--output-format", "csv", "zeros", "--rho", "0.5", "--count", "2"], capsys)
+    assert code == 0 and out.splitlines()[0] == "k,root_re,root_im,confirm_residual"
+
+
+def test_zeros_negative_m_is_a_usage_error(capsys):
+    code, out, err = run_cli(["zeros", "--rho", "0.5", "--m=-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

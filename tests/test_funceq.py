@@ -240,7 +240,7 @@ def test_step4_matrix_predicate():
 
 
 def test_zero_scan_finds_known_roots():
-    f = lambda z: complex(math.sin(z.real))
+    f = lambda z: np.sin(z.real)
     roots = zero_scan(f, anchor=0.5, direction=1.0, length=7.0, grid=40)
     assert len(roots) == 2
     assert roots[0].real == pytest.approx(PI, abs=1e-9)
@@ -248,12 +248,12 @@ def test_zero_scan_finds_known_roots():
 
 
 def test_zero_scan_no_sign_change_returns_empty():
-    f = lambda z: complex(2.0 + z.real**2)
+    f = lambda z: 2.0 + z.real**2
     assert zero_scan(f, 0.0, 1.0, 3.0, 15) == []
 
 
 def test_zero_scan_symmetric_roots_about_anchor():
-    f = lambda z: complex((z.real - 1.0) ** 3 - 4 * (z.real - 1.0))
+    f = lambda z: (z.real - 1.0) ** 3 - 4 * (z.real - 1.0)
     roots = zero_scan(f, anchor=1.0 - 3.0, direction=1.0, length=6.0, grid=61)
     vals = sorted(r.real - 1.0 for r in roots)
     assert vals == pytest.approx([-2.0, 0.0, 2.0], abs=1e-9)
@@ -265,13 +265,48 @@ def test_zero_scan_telescope_difference_small_rho():
     rho = 0.1
     scale = lambda tau: math.exp(tau * tau / (16 * rho))
 
-    def f(s):
-        tau = s.imag
-        return complex(((xi(rho, s).value - xi(rho, 1 - s).value) / 2j).real * scale(tau))
+    def f(points):
+        return np.array([((xi(rho, s).value - xi(rho, 1 - s).value) / 2j).real * scale(s.imag) for s in points])
 
     roots = zero_scan(f, anchor=0.5 + 2j, direction=1j, length=4.5, grid=25)
     assert len(roots) >= 1
     assert roots[0].imag == pytest.approx(16 * rho * PI, abs=1e-6)
+
+
+def test_zero_scan_refines_with_few_evaluations():
+    calls = []
+
+    def f(z):
+        calls.append(np.size(z))
+        return np.sin(z.real)
+
+    roots = zero_scan(f, anchor=0.5, direction=1.0, length=4.0, grid=40, refine_tol=1e-10)
+    assert calls[0] == 40 and len(calls) - 1 <= 12  # bisection would take 31
+    assert len(roots) == 1 and abs(roots[0].real - PI) <= 1e-10
+
+
+def test_zero_scan_worst_case_is_twice_bisection():
+    # a fivefold root defeats the secant steps; the schedule still bounds the count
+    calls = []
+
+    def f(z):
+        calls.append(np.size(z))
+        return (z.real - 0.1234) ** 5
+
+    roots = zero_scan(f, anchor=0.0, direction=1.0, length=0.2, grid=2, refine_tol=1e-10)
+    assert len(calls) - 1 <= 2 * math.ceil(math.log2(0.2 / 1e-10))
+    assert abs(roots[0].real - 0.1234) <= 1e-10
+
+
+def test_critical_sum_rescaled_scalar_and_array_agree():
+    h = critical_sum_rescaled(0.5)
+    ys = np.linspace(0.0, 16.0, 9)
+    batched = h(ys)
+    assert batched.shape == ys.shape
+    for y, value in zip(ys, batched):
+        single = h(float(y))
+        assert isinstance(single, float)
+        assert abs(single - value) <= 1e-12 * abs(value)
 
 
 def test_critical_sum_rescaled_changes_sign():

@@ -114,6 +114,32 @@ def test_plan_axis_theta_window_asymmetric():
     assert 0.25 * x_hi - math.pi * math.exp(x_hi) < -30
 
 
+def _plan_axis_40_iterations(lin_re, quad_re, log_tol, delta_like):
+    """Reference theta window: the right cut's fixed point iterated exactly 40 times."""
+    lam = max(log_tol, 8.0) + 6.0
+
+    def gauss_cut(slope):
+        return (-slope + math.sqrt(slope * slope + 4.0 * quad_re * lam)) / (2.0 * quad_re)
+
+    def theta_cut(slope):
+        x = math.log1p(lam / math.pi)
+        for _ in range(40):
+            x = math.log1p((lam + max(slope, 0.0) * max(x, 0.0)) / math.pi)
+        return x + 1.0
+
+    x_lo = -theta_cut(-(lin_re - 0.5)) - 1.0 if delta_like else -gauss_cut(lin_re - 0.5)
+    return x_lo, min(theta_cut(lin_re), gauss_cut(-lin_re))
+
+
+@pytest.mark.parametrize("delta_like", [False, True])
+def test_plan_axis_matches_forty_iterations_bit_for_bit(delta_like):
+    for log_tol in (5.0, 20.0, 33.6, 40.5, 80.0):
+        for lin_re in np.linspace(-4.0, 6.0, 41):
+            for quad_re in (0.03, 0.5, 2.0):
+                got = plan_axis(float(lin_re), quad_re, log_tol, delta_like=delta_like)
+                assert got == _plan_axis_40_iterations(float(lin_re), quad_re, log_tol, delta_like)
+
+
 def test_panel_nodes_integrate_polynomial_exactly():
     nodes, weights = panel_nodes(-1.0, 3.0, 4, 8)
     val = (weights * nodes**6).sum()
