@@ -6,6 +6,7 @@ import pytest
 
 from xideform.errors import DegenerateParameterError, DomainError
 from xideform.ode_solutions import (
+    _sinh_power_kernel,
     a_pm,
     c_rho,
     canonical_decomposition,
@@ -29,8 +30,9 @@ from xideform.ode_solutions import (
     vop_constraint_residual,
     vop_reconstruction_residual,
 )
+from xideform.quadrature import panel_nodes
 from xideform.theta import ThetaOperator
-from xideform.xi_core import mellin, MellinKernel, telescope_rhs, xi
+from xideform.xi_core import mellin, mellin_many, MellinKernel, telescope_rhs, xi
 
 PI = math.pi
 
@@ -160,9 +162,6 @@ def test_canonical_integral_symmetry():
 def test_jensen_prefactor_equivalence():
     # 1/(2 rho) with the raw Jensen kernel equals 1/(16 rho) with Delta_4 Psi
     rho, s = 1.0, 1.4
-    from xideform.quadrature import panel_nodes
-    from xideform.xi_core import mellin_many
-
     u, w = panel_nodes(0.0, 1.0, 8, 12)
     t = 0.5 + u * (s - 0.5)
     mvals, _ = mellin_many(ThetaOperator.delta4(), rho, t / 2)
@@ -233,7 +232,7 @@ def test_p1_closed_form():
 
 def test_p_i_symmetry():
     rho = 1.0
-    for n in (1, 2):
+    for n in (1, 2, 3):
         s = 1.35
         assert abs(iterated_P(rho, n, s) - iterated_P(rho, n, 1 - s)) < 1e-8
         assert abs(iterated_I(rho, n, s) - iterated_I(rho, n, 1 - s)) < 1e-8
@@ -243,7 +242,7 @@ def test_p_recursion_finite_differences():
     # (id - (16 rho)^2 d^2/ds^2) P^n = -16 rho P^{n-1}
     rho = 1.0
     h = 1e-3
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for s in (0.9, 1.4):
             pm, p0, pp = (iterated_P(rho, n, s + k * h) for k in (-1, 0, 1))
             lhs = p0 - (16 * rho) ** 2 * (pp - 2 * p0 + pm) / h**2
@@ -257,8 +256,48 @@ def test_expansion_n1_matches_canonical():
 
 
 def test_expansion_n2():
-    assert iterated_expansion_residual(1.0, 2, 1.2) < 1e-7
-    assert iterated_expansion_residual(0.5, 2, 0.8) < 1e-7
+    # and n = 3, the same single segment pass with the K_3 kernel
+    for n in (2, 3):
+        for rho, s in ((1.0, 1.2), (0.5, 0.8), (1.0, 0.9 + 12j)):
+            assert iterated_expansion_residual(rho, n, s) < 1e-7
+
+
+def _nested_gauss_i2(rho, s, n_panels=8, order=12):
+    """Reference I^2: the two nested sinh-kernel integrals on a 96 x 96 Gauss triangle."""
+    u1, w1 = panel_nodes(0.0, 1.0, n_panels, order)
+    t1 = 0.5 + u1 * (s - 0.5)
+    u2, w2 = panel_nodes(0.0, 1.0, n_panels, order)
+    t2 = 0.5 + np.outer(t1 - 0.5, u2)
+    mvals, _ = mellin_many(ThetaOperator.delta4_power(2), rho, t2.reshape(-1) / 2)
+    mvals = mvals.reshape(t2.shape)
+    q2 = (-(t2 * t2) + t2) / (16 * rho)
+    inner = (np.sinh((t1[:, None] - t2) / (16 * rho)) * np.exp(q2) * mvals * w2).sum(axis=1) * (t1 - 0.5)
+    return (w1 * np.sinh((s - t1) / (16 * rho)) * inner).sum() * (s - 0.5)
+
+
+def test_iterated_i2_matches_nested_gauss():
+    for rho, s in ((1.0, 1.4), (0.6, 0.7 + 12j)):
+        ref = _nested_gauss_i2(rho, s)
+        assert abs(iterated_I(rho, 2, s) - ref) < 1e-12 * abs(ref)
+
+
+def test_sinh_power_kernel_matches_mpmath():
+    # |u| = 1e-4 and 0.056 fail for the closed forms left unguarded near u = 0
+    mp = pytest.importorskip("mpmath")
+    closed = {
+        1: lambda u: mp.sinh(u),
+        2: lambda u: (u * mp.cosh(u) - mp.sinh(u)) / 2,
+        3: lambda u: ((u * u + 3) * mp.sinh(u) - 3 * u * mp.cosh(u)) / 8,
+    }
+    c = 16 * (0.4 + 0.1j)
+    for n in (1, 2, 3):
+        for r in (1e-4, 0.056, 0.999, 1.0, 1.5, 4.0):
+            for phase in (0.0, 0.7, PI / 2, 2.5):
+                L = r * cmath.exp(1j * phase) * c
+                with mp.workdps(40):
+                    ref = complex(mp.mpc(c) ** (n - 1) * closed[n](mp.mpc(L) / mp.mpc(c)))
+                got = complex(_sinh_power_kernel(n, np.array([L]), c)[0])
+                assert abs(got - ref) <= 1e-14 * abs(ref), (n, r, phase)
 
 
 def test_msym_invariant():
@@ -289,6 +328,12 @@ def test_segment_weighted_mellin_error_reported():
     )
     assert err < 1e-9
     assert abs(val) > 0
+    # a stacked (k, N) weight gives k integrals and k errors over the same Mellin values
+    vals, errs = segment_weighted_mellin(
+        ThetaOperator.delta4(), 1.0, 0.5, 1.5, lambda t: np.stack([np.ones_like(t), t])
+    )
+    assert vals.shape == errs.shape == (2,)
+    assert vals[0] == pytest.approx(val, rel=1e-15) and errs[1] < 1e-9
 
 
 def test_iterated_first_order_skips_without_real_roots():
