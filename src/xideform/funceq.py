@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
 from .gaussmat import RhoMatrix, closed_form_e
-from .quadrature import panel_nodes
+from .quadrature import QuadSpec, trapezoid
 from .theta import ThetaOperator
 from .xi_core import mellin, MellinKernel, mellin_many, telescope_rhs, xi, xi_sum_m
 from .xi_multi import MultiXiParams, xi_d
@@ -288,12 +288,14 @@ def _verify_mean_value(rho, s, spec):
         raise DomainError("mean-value window needs Re(det/rho22) > 0")
     half = math.sqrt(41.5 / min(net, asum.real))
     center = ((s1 - s2) / 2 / (2 * asum)).real
-    n_panels = max(20, int(math.ceil(half)) * 8)
-    nodes, w = panel_nodes(center - half - 1, center + half + 1, n_panels, 12)
-    inner_args = s2 / 2 + 2 * (r22 - r12) * nodes
-    inner, _ = mellin_many(ThetaOperator.plain(), r22, inner_args, spec=spec)
-    weight = np.exp(-asum * nodes**2 + (s1 - s2) / 2 * nodes)
-    lhs = (w * weight * inner).sum()
+
+    def node_sums(x):
+        inner, _ = mellin_many(ThetaOperator.plain(), r22, s2 / 2 + 2 * (r22 - r12) * x, spec=spec)
+        vals = np.exp(-asum * x**2 + (s1 - s2) / 2 * x) * inner
+        return vals.sum(), np.abs(vals).max()
+
+    lhs = trapezoid(node_sums, center - half - 1, center + half + 1, abs((s1 - s2).imag) / 2,
+                    spec or QuadSpec()).value
     arg = (s1 * r22 + s2 * r11 - (s1 + s2) * r12) / (2 * asum)
     rhs = (
         np.sqrt(PI / asum)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
-from .quadrature import QuadSpec, panel_nodes
+from .quadrature import QuadSpec, clenshaw_curtis
 from .theta import ThetaOperator
 from .xi_core import mellin, MellinKernel, mellin_many, xi
 
@@ -58,13 +58,14 @@ class DecompositionResult:
     quad_error: float
 
 
-def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec | None = None,
-                            n_panels: int = 10, order: int = 14):
+def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec | None = None):
     """int_z^s weight(t) M[(op Psi) e^{-rho ln^2}](t/2) dt along the straight segment.
 
     weight is a vectorized callable of the contour points; it may return a stacked
     (k, N) array, giving k integrals (and k errors) over one set of Mellin values.
-    Error from re-running at a lower Gauss order on the same panels.
+    The nested Clenshaw-Curtis rule evaluates each level's new points in one mellin_many
+    call; the error is its last doubling's difference plus the rounding floor plus the
+    Mellin bound weighted by |weight|.
     """
     z, s = complex(z), complex(s)
     if z == s:
@@ -72,16 +73,14 @@ def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec
         return zero, abs(zero)
     spec = spec or QuadSpec()
 
-    def one_pass(q_order):
-        u, w = panel_nodes(0.0, 1.0, n_panels, q_order)
+    def node_values(u):
         t = z + u * (s - z)
-        mvals, merr = mellin_many(op, rho, t / 2, spec=spec)
-        vals = weight(t) * mvals
-        return (w * vals).sum(axis=-1) * (s - z), merr
+        mvals, m_err = mellin_many(op, rho, t / 2, spec=spec)
+        wt = weight(t) * (s - z)
+        return wt * mvals, m_err * np.abs(wt)
 
-    hi, m_err = one_pass(order)
-    lo, _ = one_pass(order - 4)
-    return hi, abs(hi - lo) + m_err * abs(s - z)
+    res = clenshaw_curtis(node_values, spec)
+    return res.value, res.error_estimate
 
 
 def fde1_residual(rho, alpha, z, s, spec: QuadSpec | None = None, include_reflected: bool = True):
@@ -357,7 +356,7 @@ def iterated_P(rho, n: int, s) -> complex:
     return complex(L * _sinh_power_kernel(n, L, 16 * rho) / (2 * n))
 
 
-def iterated_I(rho, n: int, s, spec: QuadSpec | None = None, n_panels: int = 8, order: int = 12) -> complex:
+def iterated_I(rho, n: int, s, spec: QuadSpec | None = None) -> complex:
     """I^n: n nested sinh kernels ending in e^{q(t)} M[(Delta_4^n Psi) e](t/2), integrated in exchanged
     order as int_{1/2}^s K_n(s-t) e^{q(t)} M[...](t/2) dt with the closed-form sinh-convolution kernel
     K_n (a series near t = s): one segment pass for every n."""
@@ -368,7 +367,6 @@ def iterated_I(rho, n: int, s, spec: QuadSpec | None = None, n_panels: int = 8, 
     val, _ = segment_weighted_mellin(
         ThetaOperator.delta4_power(n), rho, 0.5, s,
         lambda t: _sinh_power_kernel(n, s - t, 16 * rho) * np.exp(_q(rho, 4.0, t)), spec,
-        n_panels=n_panels, order=order,
     )
     return val
 
@@ -385,42 +383,3 @@ def iterated_expansion_residual(rho, n: int, s, spec: QuadSpec | None = None) ->
         total += weight * m_val * iterated_P(rho, i, s) / (16 * rho) ** i
     total += iterated_I(rho, n, s, spec) / (16 * rho) ** n
     return abs(lhs - total)
-
-
-def find_real_mellin_roots(op: ThetaOperator, rho, lo: float, hi: float, grid: int = 40,
-                           spec: QuadSpec | None = None):
-    """Real-axis roots of z -> M[(op Psi) e](z/2) by sign scan and regula falsi."""
-    from .funceq import zero_scan
-
-    f = lambda z: mellin_many(op, rho, np.asarray(z) / 2, 0, spec)[0]
-    return [r.real for r in zero_scan(f, lo, 1.0, hi - lo, grid)]
-
-
-def iterated_first_order_residual(rho, alpha, s, spec: QuadSpec | None = None,
-                                  scan: tuple = (-6.0, 6.0)):
-    """The doubly iterated first-order formula at n = 2, or None when no valid anchors exist.
-
-    Needs z_1 with Xi_rho(z_1) = 0 and z_2 with M[(H_alpha Psi) e](z_2/2) = 0 on the
-    scanned real window; Xi_rho is positive on the reals, so z_1 never exists there
-    and the check reports None (skipped) rather than a residual.
-    """
-    rho = _check_rho(rho)
-    alpha = complex(alpha)
-    z1_roots = find_real_mellin_roots(ThetaOperator.plain(), rho, *scan, spec=spec)
-    z2_roots = find_real_mellin_roots(ThetaOperator.h(alpha), rho, *scan, spec=spec)
-    if not z1_roots or not z2_roots:
-        return None, {"z1_roots": z1_roots, "z2_roots": z2_roots}
-    z1, z2 = z1_roots[0], z2_roots[0]
-    s = complex(s)
-    u1, w1 = panel_nodes(0.0, 1.0, 8, 12)
-    t1 = z1 + u1 * (s - z1)
-    u2, w2 = panel_nodes(0.0, 1.0, 8, 12)
-    t2 = z2 + np.outer(t1 - z2, u2)
-    op2 = ThetaOperator.h(alpha).compose(ThetaOperator.h(alpha))
-    mvals, _ = mellin_many(op2, rho, t2.reshape(-1) / 2, spec=spec)
-    mvals = mvals.reshape(t2.shape)
-    inner = (np.exp(_q(rho, alpha, t2)) * mvals * w2[None, :]).sum(axis=1) * (t1 - z2)
-    outer = (w1 * inner).sum() * (s - z1)
-    lhs = xi(rho, s, spec).value
-    rhs = cmath.exp(-_q(rho, alpha, s)) * outer / (4 * alpha * rho) ** 2
-    return abs(lhs - rhs), {"z1": z1, "z2": z2}

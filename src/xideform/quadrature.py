@@ -1,4 +1,5 @@
-"""Quadrature: the log-axis trapezoid rule for Mellin integrals in d <= 3 dimensions.
+"""Quadrature: the log-axis trapezoid rule for every integral over a truncated line (the
+Mellin integrals in d <= 3 dimensions), a nested Clenshaw-Curtis rule for s-segments.
 
 Every log-axis integrand here, (op Psi)(e^x) x^m e^{a x - rho x^2} along each axis,
 possibly coupled across axes by e^{-2 rho_ij x_i x_j}, is analytic in the strip
@@ -6,8 +7,8 @@ possibly coupled across axes by e^{-2 rho_ij x_i x_j}, is analytic in the strip
 geometrically in 1/h along every axis.  By Poisson summation its error at step h is
 the sum of the aliases M(a + 2 pi i k / h), k != 0, so the step is set by the
 oscillation frequency and the tolerance, and the difference to the half-resolution
-sum on the all-even subgrid is a free error estimate.  Gauss-Legendre panels remain
-for the finite s-segment integrals.
+sum on the all-even subgrid is a free error estimate.  The Clenshaw-Curtis rule nests
+the same way, its error taken from the last doubling (Trefethen, SIAM Review 50, 2008).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _ROUNDING = 1e-16
 # converge on (0.2M nodes at d = 2, 1.2M at d = 3), which also admits the 6.7M nodes
 # of a Re rho with eigenvalue 0.03.
 _MAX_NODES = {1: 60000, 2: 10**6, 3: 10**7}
+# intervals of the first and of the last Clenshaw-Curtis level on an s-segment
+_CC_START, _CC_MAX_INTERVALS = 32, 4096
 
 
 @dataclass(frozen=True)
@@ -174,21 +177,52 @@ def tensor_integrate(integrand, d: int, spec: QuadSpec | None = None, x_lo=None,
     return _scalar(trapezoid(node_sums, lo, hi, np.zeros(d), spec))
 
 
-@lru_cache(maxsize=64)
-def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+@lru_cache(maxsize=16)
+def _cc_weights(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights of the nodes sin^2(pi k / 2n), k = 0..n, on [0, 1] (n even),
+    as one inverse FFT (Waldvogel, BIT 46, 2006)."""
+    odd = np.arange(1, n, 2)
+    v = np.concatenate([2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n - odd.size)])
+    g = np.full(n, -1.0)
+    g[n // 2] += 2 * n
+    w = np.fft.ifft(-v[:-1] - v[:0:-1] + g / (n * n - 1.0)).real
+    w = np.append(w, w[0]) / 2.0
+    w.flags.writeable = False  # one cached array serves every caller
+    return w
 
 
-def panel_nodes(a: float, b: float, n_panels: int, order: int):
-    """Gauss-Legendre nodes/weights on n_panels equal panels spanning [a, b]."""
-    x, w = _leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1] - edges[0]) / 2.0
-    nodes = (mid[:, None] + half * x[None, :]).reshape(-1)
-    weights = np.broadcast_to(half * w[None, :], (n_panels, order)).reshape(-1)
-    return nodes, weights.copy()
+def clenshaw_curtis(node_values, spec: QuadSpec) -> IntegralResult:
+    """Nested Clenshaw-Curtis rule on [0, 1] with n = 32, 64, ... intervals.
+
+    node_values(u) returns (f, f_err): the integrand at the nodes u, shape (..., len(u))
+    for a vector-valued integrand, and the values' absolute errors, of the same shape.
+    The nodes of n intervals are u_k = sin^2(pi k / 2n), k = 0..n, and its even nodes are
+    those of n/2 intervals, so |I_n - I_{n/2}| costs nothing and a doubling evaluates
+    only the n new odd nodes, in one call.  n doubles until that difference is within
+    max(abs_tol, rel_tol |I_n|, rounding floor) for every component, the floor being
+    1e-16 sum_k w_k |f_k|; the error estimate is the difference plus the floor plus
+    sum_k w_k f_err_k.  NonConvergenceError is raised past _CC_MAX_INTERVALS.
+    """
+    n = _CC_START
+    f, f_err = node_values(np.sin(np.pi / (2 * n) * np.arange(n + 1)) ** 2)
+    while True:
+        w = _cc_weights(n)
+        value, mass = f @ w, np.abs(f) @ w
+        err = np.abs(value - f[..., ::2] @ _cc_weights(n // 2))
+        floor = _ROUNDING * mass
+        if np.all(err <= np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value)), floor)):
+            return IntegralResult(value, err + floor + f_err @ w, f.shape[-1], mass)
+        if n >= _CC_MAX_INTERVALS:
+            raise NonConvergenceError(
+                f"Clenshaw-Curtis rule did not converge at {n} intervals (err={float(np.max(err)):.3g})",
+                best_value=value,
+                error_estimate=float(np.max(err)),
+            )
+        n *= 2
+        new, new_err = node_values(np.sin(np.pi / (2 * n) * np.arange(1, n, 2)) ** 2)
+        # the previous level's nodes are the even nodes of the new one
+        odd = np.arange(1, f.shape[-1])
+        f, f_err = np.insert(f, odd, new, axis=-1), np.insert(f_err, odd, new_err, axis=-1)
 
 
 def plan_axis(lin_re: float, quad_re: float, log_tol: float, theta_like: bool = True,

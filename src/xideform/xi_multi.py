@@ -117,7 +117,8 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
             expo = expo + term
         top = float(np.max(expo))
         _check_peak(top)
-        total = np.exp(expo)  # on reals: a small fraction of the cost of a complex exp
+        # on reals (a small fraction of the cost of a complex exp), in place: expo is a fresh sum
+        total = np.exp(expo, out=expo)
         for twist in twists:
             total = total * twist
         for phase in reversed(phases):

@@ -15,10 +15,8 @@ from xideform.ode_solutions import (
     chi,
     chi_transform_residual,
     fde1_residual,
-    find_real_mellin_roots,
     halpha_vanishing_residual,
     iterated_expansion_residual,
-    iterated_first_order_residual,
     iterated_I,
     iterated_P,
     p_closed_form_1,
@@ -30,11 +28,18 @@ from xideform.ode_solutions import (
     vop_constraint_residual,
     vop_reconstruction_residual,
 )
-from xideform.quadrature import panel_nodes
 from xideform.theta import ThetaOperator
 from xideform.xi_core import mellin, mellin_many, MellinKernel, telescope_rhs, xi
 
 PI = math.pi
+
+
+def _gauss_panels(a, b, n_panels, order):
+    """Gauss-Legendre nodes and weights on n_panels equal panels of [a, b]: the independent reference rule."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = (b - a) / (2 * n_panels)
+    mid = a + half * (2 * np.arange(n_panels) + 1)
+    return (mid[:, None] + half * x).reshape(-1), np.tile(half * w, n_panels)
 
 
 def test_fde1_both_equalities():
@@ -162,7 +167,7 @@ def test_canonical_integral_symmetry():
 def test_jensen_prefactor_equivalence():
     # 1/(2 rho) with the raw Jensen kernel equals 1/(16 rho) with Delta_4 Psi
     rho, s = 1.0, 1.4
-    u, w = panel_nodes(0.0, 1.0, 8, 12)
+    u, w = _gauss_panels(0.0, 1.0, 8, 12)
     t = 0.5 + u * (s - 0.5)
     mvals, _ = mellin_many(ThetaOperator.delta4(), rho, t / 2)
     q = (-(t**2) + t) / (16 * rho)
@@ -264,9 +269,9 @@ def test_expansion_n2():
 
 def _nested_gauss_i2(rho, s, n_panels=8, order=12):
     """Reference I^2: the two nested sinh-kernel integrals on a 96 x 96 Gauss triangle."""
-    u1, w1 = panel_nodes(0.0, 1.0, n_panels, order)
+    u1, w1 = _gauss_panels(0.0, 1.0, n_panels, order)
     t1 = 0.5 + u1 * (s - 0.5)
-    u2, w2 = panel_nodes(0.0, 1.0, n_panels, order)
+    u2, w2 = _gauss_panels(0.0, 1.0, n_panels, order)
     t2 = 0.5 + np.outer(t1 - 0.5, u2)
     mvals, _ = mellin_many(ThetaOperator.delta4_power(2), rho, t2.reshape(-1) / 2)
     mvals = mvals.reshape(t2.shape)
@@ -334,19 +339,3 @@ def test_segment_weighted_mellin_error_reported():
     )
     assert vals.shape == errs.shape == (2,)
     assert vals[0] == pytest.approx(val, rel=1e-15) and errs[1] < 1e-9
-
-
-def test_iterated_first_order_skips_without_real_roots():
-    res, info = iterated_first_order_residual(0.5, 4.0, 1.2, scan=(-4.0, 4.0))
-    assert res is None
-    assert info["z1_roots"] == []
-
-
-def test_h4_mellin_real_axis_rootless():
-    # the H4 transform stays negative on the real axis, so the doubly iterated
-    # first-order route has no admissible anchors there and must report a skip
-    roots = find_real_mellin_roots(ThetaOperator.h(4.0), 0.5, -4.0, 4.0)
-    assert roots == []
-    res, info = iterated_first_order_residual(0.5, 4.0, 1.2, scan=(-4.0, 4.0))
-    assert res is None
-    assert info["z2_roots"] == []

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from xideform import xi_core
+from xideform.ode_solutions import canonical_decomposition
 from xideform.quadrature import QuadSpec
 from xideform.theta import ThetaOperator
 from xideform.xi_multi import MultiXiParams, xi_d
 
-pytest.importorskip("mpmath")
+mpmath = pytest.importorskip("mpmath")
 
 _ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 
@@ -83,10 +84,24 @@ def test_xi_d_diagonal_within_reported_error_and_tolerance(oracle, variant, diag
     _assert_within(val, complex(oracle.xi_d_diagonal(diag, s, variant)), spec)
 
 
-
 def test_mellin_many_within_returned_bound(oracle):
     args = (0.8 + 1j * np.linspace(0.0, 30.0, 140)) / 2
     vals, bound = xi_core.mellin_many(ThetaOperator.plain(), 0.5, args)
     refs = np.array([complex(oracle.mellin("psi", 0, 0.5, a)) for a in args])
     assert np.abs(vals - refs).max() <= bound
     assert bound <= QuadSpec().abs_tol
+
+
+# long s-segments from 1/2, on which the weight e^q of the segment integral reaches 1e97
+# (rho 0.25, Im s 30): the Mellin error enters scaled by it
+SEGMENTS = [(0.25, 0.5 + 30j), (1.0, 0.5 + 20j), (0.5, 0.5 + 25j), (0.3, 0.2 + 15j)]
+
+
+@pytest.mark.parametrize("rho,s", SEGMENTS)
+def test_canonical_decomposition_within_reported_error(oracle, rho, s):
+    dec = canonical_decomposition(rho, s)
+    s_mp = mpmath.mpc(s)
+    ref = complex(mpmath.exp((s_mp - s_mp**2) / (16 * mpmath.mpf(rho))) * oracle.xi(rho, s))
+    err = abs(dec.total - ref)
+    assert err <= dec.quad_error
+    assert err <= 1e-9 * abs(ref)

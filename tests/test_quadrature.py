@@ -7,8 +7,9 @@ from xideform.errors import DomainError, NonConvergenceError
 from xideform.quadrature import (
     IntegralResult,
     QuadSpec,
+    _cc_weights,
+    clenshaw_curtis,
     integrate_log_axis,
-    panel_nodes,
     plan_axis,
     tensor_integrate,
 )
@@ -140,10 +141,37 @@ def test_plan_axis_matches_forty_iterations_bit_for_bit(delta_like):
                 assert got == _plan_axis_40_iterations(float(lin_re), quad_re, log_tol, delta_like)
 
 
-def test_panel_nodes_integrate_polynomial_exactly():
-    nodes, weights = panel_nodes(-1.0, 3.0, 4, 8)
-    val = (weights * nodes**6).sum()
-    assert val == pytest.approx((3.0**7 - (-1.0) ** 7) / 7.0, rel=1e-14)
+def test_clenshaw_curtis_exact_on_polynomials_and_nested():
+    for n in (32, 64):
+        u = np.sin(np.pi / (2 * n) * np.arange(n + 1)) ** 2
+        w = _cc_weights(n)
+        for degree in range(n + 1):
+            assert (w * u**degree).sum() == pytest.approx(1.0 / (degree + 1), rel=1e-14, abs=1e-15)
+        # the nodes of n intervals are the even nodes of 2n intervals
+        assert np.array_equal(np.sin(np.pi / (4 * n) * np.arange(2 * n + 1))[::2] ** 2, u)
+
+
+def test_clenshaw_curtis_doubles_on_new_nodes_only():
+    seen = []
+
+    def node_values(u):
+        seen.append(u)
+        f = np.exp(60j * u) * np.stack([np.ones_like(u), u])
+        return f, np.zeros(f.shape)
+
+    res = clenshaw_curtis(node_values, QuadSpec())
+    e = np.exp(60j)
+    ref = np.array([(e - 1) / 60j, (e * (1 - 60j) - 1) / 3600])
+    assert np.all(np.abs(res.value - ref) < 1e-12)
+    assert np.all(res.error_estimate < 1e-11)
+    nodes = np.concatenate(seen)
+    assert len(seen) > 1 and res.evaluations == nodes.size == np.unique(nodes).size
+
+
+def test_clenshaw_curtis_raises_past_the_interval_cap():
+    with pytest.raises(NonConvergenceError) as info:
+        clenshaw_curtis(lambda u: (np.sign(u - 1 / 3), np.zeros(u.shape)), QuadSpec())
+    assert info.value.best_value == pytest.approx(1 / 3, abs=1e-3)
 
 
 def test_quadspec_validation():
