@@ -583,12 +583,21 @@ def zero_scan(f, anchor, direction, length, grid: int, refine_tol: float = 1e-10
     bracketing points are evaluated in one call; each bracket is then refined one point
     per call by Illinois regula falsi until it is no wider than refine_tol or f vanishes
     (`_refine`).  Returns one point in the complex plane per sign change, inside its
-    final bracket; empty list when no sign change is found.
+    final bracket; empty list when no sign change is found.  A non-finite value of f
+    raises DomainError naming the point: no sign change can be read from it.
     """
     anchor, direction = complex(anchor), complex(direction)
+
+    def reduced(points):
+        vals = np.real(f(points))
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise DomainError(f"zero_scan: f is not finite at {complex(points[bad][0])}")
+        return vals
+
     us = np.linspace(0.0, float(length), int(grid))
-    vals = np.real(f(anchor + us * direction))
-    at = lambda u: float(np.real(f(np.array([anchor + u * direction]))[0]))
+    vals = reduced(anchor + us * direction)
+    at = lambda u: float(reduced(np.array([anchor + u * direction]))[0])
     roots = []
     for i in range(len(us) - 1):
         if vals[i] == 0.0:

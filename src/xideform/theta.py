@@ -31,7 +31,8 @@ SMALL_T = 0.2
 DEFAULT_EPS = 1e-18
 
 # Far-left log-axis threshold: for x = ln t < LOG_TAIL_SPLIT the reflected series part
-# is below 1e-300 and the operator value is exactly its two-term closed form.
+# is below 1e-180 (about e^{-pi e^5} times the operator's polynomial; 1.6e-182 for
+# delta4^3), far below DEFAULT_EPS, and the operator value is its two-term closed form.
 LOG_TAIL_SPLIT = -5.0
 
 

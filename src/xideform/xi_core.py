@@ -1,8 +1,12 @@
 """One-dimensional deformed family: Xi_rho(s) and its operator/log-moment relatives.
 
 Everything is a Mellin transform M[f](a) = int_0^inf dt/t t^a f(t) evaluated on the
-log axis x = ln t, where it becomes a Gaussian-weighted integral.  s-derivatives are
-exact log-moment kernels (each d/ds inserts x/2), never finite differences.
+log axis x = ln t, where it becomes a Gaussian-weighted integral.  One function,
+`node_data`, builds that integrand, (op Psi)(e^x) x^m e^{-rho x^2} = V e^E with the
+theta sum's left-tail growth carried by E; `mellin_many` (one engine for every theta
+kernel: `mellin` is its one-argument form) and `xi_multi.xi_d` add their linear
+exponents to E.  s-derivatives are exact log-moment kernels (each d/ds inserts x/2),
+never finite differences.
 """
 
 from __future__ import annotations
@@ -54,52 +58,44 @@ class XiValue:
         return complex(self.value)
 
 
-def _checked_exp(z):
-    re = np.real(z)
-    top = float(np.max(re)) if np.size(re) else 0.0
+def _check_range(top: float) -> float:
+    """top, the largest real exponent about to be exponentiated; DomainError past _EXP_LIMIT."""
     if top > _EXP_LIMIT:
         raise DomainError(f"integrand magnitude exp({top:.1f}) exceeds double range")
+    return top
+
+
+def _checked_exp(z):
+    re = np.real(z)
+    _check_range(float(np.max(re)) if np.size(re) else 0.0)
     return np.exp(z)
 
 
-def kernel_values(op: ThetaOperator | None, x, a, rho, m: int = 0) -> np.ndarray:
-    """(op Psi)(e^x) x^m e^{a x - rho x^2}, stable down to very negative x.
+def node_data(op: ThetaOperator | None, x, rho, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(V, E) with (op Psi)(e^x) x^m e^{-rho x^2} = V e^E at the real nodes x.
 
-    For x below the far-left threshold the operator image of the theta sum is exactly
-    c1 e^{-x/2} + c2, and the product is formed by combining exponents first.
+    E carries the Gaussian and, below LOG_TAIL_SPLIT, the e^{-x/2} growth of the theta
+    sum, whose operator image is exactly c1 e^{-x/2} + c2 there; so V stays O(1), and a
+    caller adds its linear exponent a x to E before anything is exponentiated.  This is
+    the one place the log-axis integrand is built.  op None is the pure exp kernel.
     """
     x = np.asarray(x, dtype=float)
-    a = complex(a)
-    rho = complex(rho)
-    out = np.empty(x.shape, dtype=complex)
-    powm = x**m if m else 1.0
+    E = -complex(rho) * x * x
     if op is None:
-        out[...] = _checked_exp(a * x - rho * x * x)
-        return out * powm
-    right = x >= LOG_TAIL_SPLIT
-    if right.any():
-        xr = x[right]
-        out[right] = theta_values(op, np.exp(xr)) * _checked_exp(a * xr - rho * xr * xr)
-    if (~right).any():
-        xl = x[~right]
-        c1, c2 = op.left_tail_coeffs()
-        vals = np.zeros(xl.shape, dtype=complex)
-        if c1 != 0:
-            vals += c1 * _checked_exp((a - 0.5) * xl - rho * xl * xl)
-        if c2 != 0:
-            vals += c2 * _checked_exp(a * xl - rho * xl * xl)
-        out[~right] = vals
-    return out * powm
-
-
-def _polar(values, exponent=0.0):
-    """(phase, logmag) with values * e^exponent = phase * e^logmag and |phase| = 1, or 0
-    where the value is below the subnormal range (it contributes nothing there and
-    divides unsafely)."""
-    mag = np.abs(values)
-    ok = mag > 1e-280
-    phase = np.where(ok, values / np.where(ok, mag, 1.0), 0.0)
-    return phase, exponent + np.where(ok, np.log(np.maximum(mag, 1e-300)), -np.inf)
+        V = np.ones(x.shape, dtype=complex)
+    else:
+        V = np.empty(x.shape, dtype=complex)
+        right = x >= LOG_TAIL_SPLIT
+        if right.any():
+            V[right] = theta_values(op, np.exp(x[right]))
+        if not right.all():
+            c1, c2 = op.left_tail_coeffs()
+            xl = x[~right]
+            V[~right] = c1 + c2 * np.exp(xl / 2.0)
+            E[~right] -= xl / 2.0
+    if m:
+        V *= x**m
+    return V, E
 
 
 def _window(op: ThetaOperator | None, lin, rho: complex, spec: QuadSpec):
@@ -120,8 +116,11 @@ def _warn_cancellation(mass, value, spec: QuadSpec):
     integrand's peak mass both dwarfs the result (ratio above _CANCEL_LIMIT) and puts
     the double-precision floor 1e-16 * mass above abs_tol."""
     mass = np.asarray(mass)
+    flagged = 1e-16 * mass > spec.abs_tol
+    if not flagged.any():  # spares the common case the rest of the array work
+        return
     size = np.maximum(np.abs(value), 1e-300)
-    flagged = (1e-16 * mass > spec.abs_tol) & (mass > _CANCEL_LIMIT * size)
+    flagged &= mass > _CANCEL_LIMIT * size
     if np.any(flagged):
         warnings.warn(
             f"cancellation ratio {np.max((mass / size)[flagged]):.2e} exceeds 1e12; "
@@ -134,23 +133,21 @@ def _warn_cancellation(mass, value, spec: QuadSpec):
 def mellin(kernel: MellinKernel, spec: QuadSpec | None = None) -> XiValue:
     """Evaluate the kernel's Mellin transform by the log-axis trapezoid rule.
 
-    Pure-exp kernels are entire, so their path is shifted through the Gaussian
-    saddle Im(a/2rho); this removes the e^{i Im(a) x} cancellation and keeps the
-    result accurate relative to its own (possibly tiny) scale.
+    A theta kernel is a one-argument `mellin_many`.  Pure-exp kernels are entire, so
+    their path is shifted through the Gaussian saddle Im(a/2rho); this removes the
+    e^{i Im(a) x} cancellation and keeps the result accurate relative to its own
+    (possibly tiny) scale.
     """
     spec = spec or QuadSpec()
     op, m = kernel.theta_op, kernel.log_power
     a, rho = complex(kernel.argument), complex(kernel.gaussian_coeff)
-    if op is None:
-        z = 1j * (a / (2 * rho)).imag
-        lin = a - 2 * rho * z
-        f = lambda x: (x + z) ** m * np.exp(a * (x + z) - rho * (x + z) ** 2)
-    else:
-        lin = a
-        f = lambda x: kernel_values(op, x, a, rho, m)
-    res = integrate_log_axis(f, spec, *_window(op, lin, rho, spec))
-    if 1e-16 * res.peak_mass > spec.abs_tol:  # spares the common scalar case the array work
-        _warn_cancellation(res.peak_mass, res.value, spec)
+    if op is not None:
+        values, err = mellin_many(op, rho, a, m, spec)
+        return XiValue(complex(values[0]), err)
+    z = 1j * (a / (2 * rho)).imag
+    f = lambda x: (x + z) ** m * np.exp(a * (x + z) - rho * (x + z) ** 2)
+    res = integrate_log_axis(f, spec, *_window(None, a - 2 * rho * z, rho, spec))
+    _warn_cancellation(res.peak_mass, res.value, spec)
     return XiValue(res.value, res.error_estimate)
 
 
@@ -158,11 +155,13 @@ def mellin_many(op: ThetaOperator | None, rho, args, m: int = 0,
                 spec: QuadSpec | None = None) -> tuple[np.ndarray, float]:
     """M[(op Psi) ln^m exp(-rho ln^2)](a_k) for a whole array of arguments a_k.
 
-    The same trapezoid rule as `mellin`, on one grid planned for the hull of the
-    arguments: the kernel values are shared and each node sum is a matrix product.
-    Every argument meets the spec's tolerance or NonConvergenceError is raised, and
-    arguments whose cancellation limits the absolute accuracy raise one PrecisionWarning,
-    as in `mellin`.  Returns (values, error bound), the bound being the largest
+    The log-axis trapezoid rule on one grid planned for the hull of the arguments:
+    `node_data` gives (V, E) once per node array, and each argument's node sum is the
+    row exp(a_k x + E) @ V, so exp never overflows where the Gaussian rescues the
+    product.  The peak modulus exp(max(Re(a_k x + E) + log|V|)) sets each argument's
+    rounding floor.  Every argument meets the spec's tolerance or NonConvergenceError is
+    raised, and arguments whose cancellation limits the absolute accuracy raise one
+    PrecisionWarning.  Returns (values, error bound), the bound being the largest
     per-argument estimate.
     """
     spec = spec or QuadSpec()
@@ -170,15 +169,14 @@ def mellin_many(op: ThetaOperator | None, rho, args, m: int = 0,
     args = np.atleast_1d(np.asarray(args, dtype=complex))
 
     def node_sums(x):
-        # fold the damped base's magnitude into the exponent so exp(a x) never
-        # overflows where the Gaussian would have rescued the product
-        phase, logmag = _polar(kernel_values(op, x, 0.0, rho, m))
+        V, E = node_data(op, x, rho, m)
+        logv = np.log(np.maximum(np.abs(V), 1e-300))  # a vanishing V counts as 1e-300
         sums = np.empty(args.shape, dtype=complex)
         peaks = np.empty(args.shape)
         for start in range(0, args.size, 256):
-            expo = np.outer(args[start : start + 256], x) + logmag
-            sums[start : start + 256] = _checked_exp(expo) @ phase
-            peaks[start : start + 256] = np.exp(expo.real.max(axis=1, initial=-np.inf))
+            expo = args[start : start + 256, None] * x + E
+            sums[start : start + 256] = _checked_exp(expo) @ V
+            peaks[start : start + 256] = np.exp((expo.real + logv).max(axis=1, initial=-np.inf))
         return sums, peaks
 
     res = trapezoid(node_sums, *_window(op, args, rho, spec), spec)

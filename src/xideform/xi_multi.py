@@ -1,11 +1,11 @@
 """Multidimensional integrals Xi(rho, s) and the Jensen variant xi(rho, s), d <= 3.
 
 The integrand factorizes per axis up to the off-diagonal coupling
-exp(-2 sum_{i<j} rho_ij x_i x_j).  Each axis contributes node data in polar form (a
-phase and a real log-magnitude, to survive the t^{-1/2}/2 growth of the theta sum
-far on the left), and the node sums of the shared log-axis trapezoid rule contract
-them through the coupling: a matrix product at d = 2, one tensor contraction at
-d = 3.  The exponent tensor is real, built from Re rho_ij; an imaginary coupling
+exp(-2 sum_{i<j} rho_ij x_i x_j).  Each axis contributes `xi_core.node_data` times
+e^{s_i x / 2} in polar form (a phase and a real log-magnitude, to survive the
+t^{-1/2}/2 growth of the theta sum far on the left), and the node sums of the
+shared log-axis trapezoid rule contract them through the coupling: a matrix product
+at d = 2, one tensor contraction at d = 3.  The exponent tensor is real, built from Re rho_ij; an imaginary coupling
 enters as the pair phase factors exp(-2i Im rho_ij x_i x_j), each over two axes,
 multiplied in after the exponential.  The rule's |T_h - T_2h| is the error estimate.
 """
@@ -20,8 +20,8 @@ import numpy as np
 from .errors import DomainError
 from .gaussmat import RhoMatrix
 from .quadrature import QuadSpec, trapezoid
-from .theta import LOG_TAIL_SPLIT, ThetaOperator, theta_values
-from .xi_core import _EXP_LIMIT, XiValue, _polar, _window
+from .theta import ThetaOperator
+from .xi_core import XiValue, _check_range, _window, node_data
 
 
 @dataclass(frozen=True)
@@ -48,25 +48,14 @@ def _axis_operator(variant: str) -> ThetaOperator:
     return ThetaOperator.plain() if variant == "theta" else ThetaOperator.delta4()
 
 
-def _axis_data(op: ThetaOperator, x, a, rho_ii, power: int):
-    """(phase, logmag): the axis factor (op Psi)(e^x) x^power exp(a x - rho_ii x^2) is
-    phase * exp(logmag) with |phase| = 1 (or 0 where the factor vanishes).
-
-    The real exponent carries the t^{-1/2}/2 growth of the theta sum far on the left,
-    so it can meet the Gaussian and the coupling before anything is exponentiated.
-    """
-    g = complex(a) * x - complex(rho_ii) * x * x
-    V = np.empty(x.shape, dtype=complex)
-    E = g.real.copy()
-    right = x >= LOG_TAIL_SPLIT
-    if right.any():
-        V[right] = theta_values(op, np.exp(x[right]))
-    if (~right).any():
-        c1, c2 = op.left_tail_coeffs()
-        xl = x[~right]
-        V[~right] = c1 + c2 * np.exp(xl / 2.0)
-        E[~right] -= xl / 2.0
-    return _polar(V * np.exp(1j * g.imag) * (x**power if power else 1.0), E)
+def _polar(values, exponent):
+    """(phase, logmag) with values * e^exponent = phase * e^logmag and |phase| = 1, or 0
+    where the value is below the subnormal range (it contributes nothing there and
+    divides unsafely)."""
+    mag = np.abs(values)
+    ok = mag > 1e-280
+    phase = np.where(ok, values / np.where(ok, mag, 1.0), 0.0)
+    return phase, exponent + np.where(ok, np.log(np.maximum(mag, 1e-300)), -np.inf)
 
 
 def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> XiValue:
@@ -97,7 +86,9 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
         # a grid's node array reaches 2^(d-1) parity classes, and the next halving as
         # its even nodes; holding the array keeps its id from being reused
         if (j, id(x)) not in held:
-            held[j, id(x)] = x, _axis_data(op, x, s[j] / 2, a[j, j], powers[j])
+            V, E = node_data(op, x, a[j, j], powers[j])
+            g = s[j] / 2 * x + E
+            held[j, id(x)] = x, _polar(V * np.exp(1j * g.imag), g.real)
         return held[j, id(x)][1]
 
     def node_sums(*xs):
@@ -115,8 +106,7 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
                     twists.append(np.exp(-2j * a[i, j].imag * along[i] * along[j]))
             phases.append(phase)
             expo = expo + term
-        top = float(np.max(expo))
-        _check_peak(top)
+        top = _check_range(float(np.max(expo)))
         # on reals (a small fraction of the cost of a complex exp), in place: expo is a fresh sum
         total = np.exp(expo, out=expo)
         for twist in twists:
@@ -128,11 +118,6 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
 
     res = trapezoid(node_sums, [p[0] for p in plans], [p[1] for p in plans], omega, spec)
     return XiValue(complex(res.value), float(res.error_estimate))
-
-
-def _check_peak(top: float):
-    if top > _EXP_LIMIT:
-        raise DomainError(f"tensor integrand magnitude exp({top:.0f}) exceeds double range")
 
 
 def jensen_xi_d(rho, s, spec: QuadSpec | None = None) -> XiValue:

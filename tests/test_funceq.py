@@ -273,6 +273,16 @@ def test_zero_scan_telescope_difference_small_rho():
     assert roots[0].imag == pytest.approx(16 * rho * PI, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_zero_scan_raises_on_a_non_finite_value():
+    # on the grid: the rescaled critical sum overflows past y of about 106 at rho 0.25
+    with pytest.raises(DomainError, match="not finite at"):
+        zero_scan(critical_sum_rescaled(0.25), 60, 1, 100, 400)
+    # in the refinement: the first secant step lands on the pole
+    with pytest.raises(DomainError, match=r"not finite at \(1\+0j\)"):
+        zero_scan(lambda z: np.where(abs(z.real - 1) < 0.25, np.inf, z.real - 1), 0.0, 1.0, 2.0, 2)
+
+
 def test_zero_scan_refines_with_few_evaluations():
     calls = []
 

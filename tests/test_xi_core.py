@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xideform import xi_core
 from xideform.errors import DomainError
 from xideform.quadrature import QuadSpec
-from xideform.theta import ThetaOperator
+from xideform.theta import DEFAULT_EPS, LOG_TAIL_SPLIT, ThetaOperator, theta_values
 from xideform.xi_core import (
     MellinKernel,
     XiValue,
@@ -15,6 +18,7 @@ from xideform.xi_core import (
     mellin,
     mellin_delta4,
     mellin_many,
+    node_data,
     telescope_rhs,
     xi,
     xi_ds,
@@ -82,6 +86,15 @@ def test_telescope_sum_m():
     m, rho, s = 2, 0.4, 1 + 1j
     lhs = xi_sum_m(rho, s, m).value - xi_sum_m(rho, 1 - m - s, m).value
     assert abs(lhs - telescope_rhs(rho, s, m)) < 1e-9 * max(1.0, abs(telescope_rhs(rho, s, m)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.25, 2.0), st.floats(-1.0, 2.0), st.floats(0.0, 10.0), st.sampled_from([0, 1, 2]))
+def test_telescope_property(rho, re_s, im_s, m):
+    s = complex(re_s, im_s)
+    lhs = xi_sum_m(rho, s, m).value - xi_sum_m(rho, 1 - m - s, m).value
+    rhs = telescope_rhs(rho, s, m)
+    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
 def test_sum_m_single_term():
@@ -198,6 +211,47 @@ def test_mellin_many_matches_single():
         single = mellin(MellinKernel(ThetaOperator.plain(), 0, rho, a)).value
         assert abs(vals[k] - single) < 1e-10 * max(1.0, abs(single))
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("op", [ThetaOperator.plain(), ThetaOperator.h(4.0), ThetaOperator.delta4(),
+                                ThetaOperator.delta4_h4(), ThetaOperator.delta4_power(3),
+                                ThetaOperator.delta(3)], ids=lambda op: op.name)
+def test_node_data_left_tail_matches_the_series(op, m):
+    # below LOG_TAIL_SPLIT the operator image is the closed form c1 e^{-x/2} + c2, with
+    # the e^{-x/2} carried by E; on both sides of the split V e^E is the series value, up
+    # to the series' own absolute truncation DEFAULT_EPS
+    rho = 0.3 + 0.1j
+    x = LOG_TAIL_SPLIT + np.array([-15.0, -0.5, -1e-9, 0.0, 1e-9, 0.5])
+    V, E = node_data(op, x, rho, m)
+    factor = x**m * np.exp(-rho * x * x)
+    ref = theta_values(op, np.exp(x)) * factor
+    assert np.all(np.abs(V * np.exp(E) - ref) <= 1e-14 * np.abs(ref) + DEFAULT_EPS * np.abs(factor))
+    assert np.abs(V).max() < 1e3 * max(1, abs(x[0]) ** m)  # the growth is in E, not in V
+
+
+def test_repeated_calls_repeat_bits_and_theta_calls(monkeypatch):
+    # nothing is kept between calls: the same sequence again gives the same bits from the
+    # same theta evaluations
+    sizes = []
+    theta = xi_core.theta_values
+
+    def counted(op, t, *args):
+        sizes.append(np.size(t))
+        return theta(op, t, *args)
+
+    monkeypatch.setattr(xi_core, "theta_values", counted)
+
+    def run():
+        sizes.clear()
+        out = [xi(0.3, 0.5 + 14j), xi_ds(0.7, -0.4 + 3j, 2), xi_tilde(1.2, 2 + 25j),
+               mellin_many(ThetaOperator.delta4(), 0.5, [0.25, 0.3 + 5j, -0.2 + 9j])]
+        return out, list(sizes)
+
+    (first, first_sizes), (second, second_sizes) = run(), run()
+    assert first_sizes and first_sizes == second_sizes
+    assert first[:3] == second[:3]
+    assert np.array_equal(first[3][0], second[3][0]) and first[3][1] == second[3][1]
 
 
 def test_quad_error_reported():

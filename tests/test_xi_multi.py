@@ -82,13 +82,13 @@ def test_axis_data_once_per_axis_and_parity(monkeypatch, rho, s):
     # a xi_d accepted on its first grid computes each axis's data twice: for its even
     # nodes (the first grid) and its odd nodes, whatever the parity classes using them
     calls = []
-    axis_data = xi_multi._axis_data
+    node_data = xi_multi.node_data
 
     def counted(*args):
         calls.append(args)
-        return axis_data(*args)
+        return node_data(*args)
 
-    monkeypatch.setattr(xi_multi, "_axis_data", counted)
+    monkeypatch.setattr(xi_multi, "node_data", counted)
     xi_d(MultiXiParams.make(rho, s))
     assert len(calls) == 2 * len(s)
 
