@@ -128,8 +128,33 @@ def _as_rho(rho) -> RhoMatrix:
     return rho if isinstance(rho, RhoMatrix) else RhoMatrix.from_array(rho)
 
 
-def _xi2(rho2: RhoMatrix, s, spec) -> complex:
-    return xi_d(MultiXiParams(rho2, tuple(complex(v) for v in s), "theta"), spec).value
+def _xi(rho: RhoMatrix, s, spec) -> complex:
+    """Xi(rho, s): the 1D transform at d = 1, the d-dimensional quadrature above."""
+    s = tuple(complex(v) for v in s)
+    if rho.d == 1:
+        return xi(rho.entries[0][0], s[0], spec).value
+    return xi_d(MultiXiParams(rho, s, "theta"), spec).value
+
+
+def _flip_bracket(rho: RhoMatrix, k: int, s, spec) -> complex:
+    """Xi(rho, s) - Xi(flip_k rho, s_k -> 1 - s_k): axis k of the Gaussian integrated out.
+
+    sqrt(pi/rho_kk)/2 [e^{(s_k-1)^2/16rho_kk} Xi_red(s_i - (s_k-1) rho_ik/rho_kk)
+    - e^{s_k^2/16rho_kk} Xi_red(s_i - s_k rho_ik/rho_kk)], i != k, with Xi_red the
+    transform over reduce_k(rho), and 1 at d = 1.  Every reduced term of the catalog
+    is one of these brackets at some flip of rho and reflection of s.
+    """
+    a = rho.array()
+    rkk = a[k, k]
+    red = rho.reduce_k(k) if rho.d > 1 else None
+
+    def side(shift):
+        gauss = np.exp(shift**2 / (16 * rkk))
+        if red is None:
+            return gauss
+        return gauss * _xi(red, [s[i] - shift * a[i, k] / rkk for i in range(rho.d) if i != k], spec)
+
+    return np.sqrt(PI / rkk) / 2 * (side(s[k] - 1) - side(s[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +163,7 @@ def _xi2(rho2: RhoMatrix, s, spec) -> complex:
 
 def _flip_difference(rho: RhoMatrix, s, spec) -> complex:
     """Xi(rho, s) - Xi(rho, 1 - s), the left side of the all-axes functional equations."""
-    return (
-        xi_d(MultiXiParams.make(rho, s), spec).value
-        - xi_d(MultiXiParams.make(rho, [1 - v for v in s]), spec).value
-    )
-
-
-def _reduced_pair(r, det, x, arg_shifted, arg, spec) -> complex:
-    """sqrt(pi)/(2 sqrt r) [e^{(x-1)^2/16r} Xi_{det/r}(arg_shifted) - e^{x^2/16r} Xi_{det/r}(arg)]:
-    one axis of a 2D Gaussian integrated out at the two shifts x - 1 and x."""
-    return (np.sqrt(PI) / (2 * np.sqrt(r))) * (
-        np.exp((x - 1) ** 2 / (16 * r)) * xi(det / r, arg_shifted, spec).value
-        - np.exp(x**2 / (16 * r)) * xi(det / r, arg, spec).value
-    )
+    return _xi(rho, s, spec) - _xi(rho, [1 - v for v in s], spec)
 
 
 def _verify_telescope(rho, s, m, spec):
@@ -159,77 +172,36 @@ def _verify_telescope(rho, s, m, spec):
 
 
 def _verify_sk_flip(rho, s, k, spec):
-    d = rho.d
-    a = rho.array()
-    lhs = xi_d(MultiXiParams.make(rho, s), spec).value if d > 1 else xi(a[0, 0], s[0], spec).value
     s_flip = s.copy()
     s_flip[k] = 1 - s_flip[k]
-    main = (
-        xi_d(MultiXiParams.make(rho.flip_k(k), s_flip), spec).value
-        if d > 1 else xi(a[0, 0], s_flip[0], spec).value
-    )
-    rkk = a[k, k]
-    pref = np.sqrt(np.pi / rkk) / 2
-
-    def reduced_xi(shift):
-        if d == 1:
-            return 1.0
-        args = [s[i] - shift * a[i, k] / rkk for i in range(d) if i != k]
-        red = rho.reduce_k(k)
-        if d == 2:
-            return xi(red.array()[0, 0], args[0], spec).value
-        return _xi2(red, args, spec)
-
-    rhs = main + pref * (
-        np.exp((s[k] - 1) ** 2 / (16 * rkk)) * reduced_xi(s[k] - 1)
-        - np.exp(s[k] ** 2 / (16 * rkk)) * reduced_xi(s[k])
-    )
-    return lhs, rhs, 2 * d + 2
+    rhs = _xi(rho.flip_k(k), s_flip, spec) + _flip_bracket(rho, k, s, spec)
+    return _xi(rho, s, spec), rhs, 2 if rho.d == 1 else 4
 
 
-def _fun_groups(a, det, s1, s2, spec):
-    """The two reduced-Xi brackets shared by the 2D functional equations."""
-    r11, r22, r12 = a[0, 0], a[1, 1], a[0, 1]
-    g22 = _reduced_pair(r22, det, s2, 1 - s1 - (r12 / r22) * (1 - s2), 1 - s1 + (r12 / r22) * s2, spec)
-    g11 = _reduced_pair(r11, det, s1, 1 - s2 - (r12 / r11) * (1 - s1), 1 - s2 + (r12 / r11) * s1, spec)
-    return g11, g22
+def _fun1_closed(rho, s1, s2) -> complex:
+    """fun1's closed Gaussian group: e(rho, s - c)/4 over the corners c of the unit square,
+    signed (-1)^(c1 + c2)."""
+    e = lambda p, q: closed_form_e(rho, [p, q])
+    return (e(s1, s2) - e(s1 - 1, s2) - e(s1, s2 - 1) + e(s1 - 1, s2 - 1)) / 4
 
 
 def _verify_fun1(rho, s, spec):
-    a = rho.array()
     s1, s2 = complex(s[0]), complex(s[1])
-    det = rho.det()
-    lhs = _flip_difference(rho, [s1, s2], spec)
-    r11, r22, r12 = a[0, 0], a[1, 1], a[0, 1]
-    pref = PI * np.exp((r22 * s1**2 + r11 * s2**2 - 2 * r12 * s1 * s2) / (16 * det)) / (4 * np.sqrt(det))
-    bracket = (
-        1
-        + np.exp((r11 + r22 - 2 * r12 - 2 * r22 * s1 - 2 * r11 * s2 + 2 * r12 * (s1 + s2)) / (16 * det))
-        - np.exp((r22 - 2 * r22 * s1 + 2 * r12 * s2) / (16 * det))
-        - np.exp((r11 - 2 * r11 * s2 + 2 * r12 * s1) / (16 * det))
-    )
-    g11, g22 = _fun_groups(a, det, s1, s2, spec)
-    return lhs, pref * bracket + g22 + g11, 6
+    closed = _fun1_closed(rho, s1, s2)
+    g11 = _flip_bracket(rho.flip_k(0), 0, [s1, 1 - s2], spec)
+    g22 = _flip_bracket(rho.flip_k(1), 1, [1 - s1, s2], spec)
+    return _flip_difference(rho, [s1, s2], spec), closed + g22 + g11, 6
 
 
 def _verify_fun11(rho, s, spec):
-    a = rho.array()
     s1, s2 = complex(s[0]), complex(s[1])
-    det = rho.det()
-    lhs = _flip_difference(rho, [s1, s2], spec)
-    r11, r12 = a[0, 0], a[0, 1]
-    f11 = _reduced_pair(r11, det, s1, s2 + (r12 / r11) * (1 - s1), s2 - (r12 / r11) * s1, spec)
-    _, g22 = _fun_groups(a, det, s1, s2, spec)
-    return lhs, f11 + g22, 6
+    rhs = _flip_bracket(rho, 0, [s1, s2], spec) + _flip_bracket(rho.flip_k(1), 1, [1 - s1, s2], spec)
+    return _flip_difference(rho, [s1, s2], spec), rhs, 6
 
 
 def _verify_funcor1(rho, s, spec):
-    a = rho.array()
-    det = rho.det()
-    r11, r12 = a[0, 0], a[0, 1]
-    lhs = _flip_difference(rho, [s, s], spec)
-    rhs = 2 * _reduced_pair(r11, det, s, 1 - s - (r12 / r11) * (1 - s), 1 - s + (r12 / r11) * s, spec)
-    return lhs, rhs, 4
+    rhs = 2 * _flip_bracket(rho.flip_k(0), 0, [s, 1 - s], spec)
+    return _flip_difference(rho, [s, s], spec), rhs, 4
 
 
 def _verify_funcor2(rho, s, spec):
@@ -320,9 +292,9 @@ def _c_term(rho: RhoMatrix, k: int, x, y, z, spec) -> complex:
 
 
 def _verify_result3d(rho, s, spec):
-    a = rho.array()
     s1, s2, s3 = (complex(v) for v in s)
-    lhs = _flip_difference(rho, [s1, s2, s3], spec)
+    svec = [s1, s2, s3]
+    lhs = _flip_difference(rho, svec, spec)
     e = lambda p, q, r: closed_form_e(rho, [p, q, r])
     grp_exp = (1.0 / 8.0) * (
         e(s1, s2 - 1, s3) - e(s1 - 1, s2, s3 - 1) + e(s1 - 1, s2, s3) - e(s1 - 1, s2 - 1, s3)
@@ -334,45 +306,23 @@ def _verify_result3d(rho, s, spec):
         + C(1, s1, s3, s2) - C(1, s1, s3 - 1, s2) + C(1, s1 - 1, s3 - 1, s2) - C(1, s1 - 1, s3, s2)
         + C(0, s2, s3, s1) - C(0, s2, s3 - 1, s1) + C(0, s2 - 1, s3 - 1, s1) - C(0, s2 - 1, s3, s1)
     )
-    grp_red = 0j
-    svec = [s1, s2, s3]
-    for k in range(3):
-        rkk = a[k, k]
-        red = rho.reduce_k(k)
-        others = [i for i in range(3) if i != k]
-        for shift, sign in ((svec[k] - 1, 1.0), (svec[k], -1.0)):
-            args = [1 - svec[i] + shift * a[i, k] / rkk for i in others]
-            grp_red += sign * np.exp(shift**2 / (16 * rkk)) / np.sqrt(rkk) * _xi2(red, args, spec)
-    grp_red *= np.sqrt(PI) / 2.0
+    grp_red = sum(
+        _flip_bracket(rho.flip_k(k), k, [v if i == k else 1 - v for i, v in enumerate(svec)], spec)
+        for k in range(3)
+    )
     return lhs, grp_exp + grp_c + grp_red, 20
 
 
 def _verify_sixterm(rho, s, spec):
     s1, s2, s3 = (complex(v) for v in s)
-    h = lambda v: (1 + v) / 2
-    lhs = xi_d(MultiXiParams.make(rho, [h(s1), h(s2), h(s3)]), spec).value
-
-    def bracket(mat, k, sk, xs):
-        """Axis k of mat integrated out: the reduced 2D pair at the shifts 1 - sk and
-        -(1 + sk), xs being the arguments of the other two axes."""
-        b = mat.array()
-        rkk = b[k, k]
-        col = [b[i, k] for i in range(3) if i != k]
-        pref = (np.sqrt(PI) / 2) * np.exp((1 + sk**2) / (64 * rkk)) / np.sqrt(rkk)
-        plus = np.exp(-sk / (32 * rkk))
-        minus = np.exp(sk / (32 * rkk))
-        args_p = [h(x + (1 - sk) * c / rkk) for x, c in zip(xs, col)]
-        args_m = [h(x - (1 + sk) * c / rkk) for x, c in zip(xs, col)]
-        red = mat.reduce_k(k)
-        return pref * (plus * _xi2(red, args_p, spec) - minus * _xi2(red, args_m, spec))
-
+    h = lambda *v: [(1 + x) / 2 for x in v]
+    lhs = _xi(rho, h(s1, s2, s3), spec)
     # first route: flip axis 3; second route: flip axis 1 then axis 2
-    rhs1 = xi_d(MultiXiParams.make(rho.flip_k(2), [h(s1), h(s2), h(-s3)]), spec).value + bracket(
-        rho, 2, s3, [s1, s2])
+    rhs1 = _xi(rho.flip_k(2), h(s1, s2, -s3), spec) + _flip_bracket(rho, 2, h(s1, s2, s3), spec)
     rhs2 = (
-        xi_d(MultiXiParams.make(rho.flip_k(2), [h(-s1), h(-s2), h(s3)]), spec).value
-        + bracket(rho, 0, s1, [s2, s3])
-        + bracket(rho.flip_k(0), 1, s2, [-s1, s3])
+        _xi(rho.flip_k(2), h(-s1, -s2, s3), spec)
+        + _flip_bracket(rho, 0, h(s1, s2, s3), spec)
+        + _flip_bracket(rho.flip_k(0), 1, h(-s1, s2, s3), spec)
     )
     # report the worse of the two displayed equalities
     worse = rhs1 if abs(lhs - rhs1) >= abs(lhs - rhs2) else rhs2
@@ -392,9 +342,7 @@ def _verify_rewrite_3d_a(rho, gamma, s, spec):
     mat = step4_matrix(rho, gamma, s)
     mat.require_convergent()
     half = [0.5, 0.5, 0.5]
-    lhs = xi_d(MultiXiParams.make(mat, half), spec).value
-    rhs = xi_d(MultiXiParams.make(mat.flip_k(2), half), spec).value
-    return lhs, rhs, 2
+    return _xi(mat, half, spec), _xi(mat.flip_k(2), half, spec), 2
 
 
 def step7_matrix_and_args(rho, gamma, s):
@@ -415,14 +363,8 @@ def _verify_rewrite_3d_b(rho, gamma, s, spec):
     mat, a_hi, a_lo, b_plus, b_minus = step7_matrix_and_args(rho, gamma, s)
     mat.require_convergent()
     flip = mat.flip_k(1)
-    lhs = (
-        xi_d(MultiXiParams.make(mat, [a_hi, b_plus]), spec).value
-        - xi_d(MultiXiParams.make(mat, [a_lo, b_minus]), spec).value
-    )
-    rhs = (
-        xi_d(MultiXiParams.make(flip, [a_hi, b_minus]), spec).value
-        - xi_d(MultiXiParams.make(flip, [a_lo, b_plus]), spec).value
-    )
+    lhs = _xi(mat, [a_hi, b_plus], spec) - _xi(mat, [a_lo, b_minus], spec)
+    rhs = _xi(flip, [a_hi, b_minus], spec) - _xi(flip, [a_lo, b_plus], spec)
     return lhs, rhs, 4
 
 
@@ -442,9 +384,7 @@ def _verify_rewrite_2d(rho, alpha, s, n, spec):
     a = mat.array()
     if (alpha * s).real >= math.sqrt(a[1, 1].real * a[0, 0].real):
         raise DomainError("premise Re(alpha s) < sqrt(Re alpha Re(rho + alpha s^2)) fails")
-    lhs = xi_d(MultiXiParams.make(mat, [a1, a2]), spec).value
-    rhs = xi_d(MultiXiParams.make(mat.flip_k(1), [a1, b2]), spec).value
-    return lhs, rhs, 2
+    return _xi(mat, [a1, a2], spec), _xi(mat.flip_k(1), [a1, b2], spec), 2
 
 
 def _verify_mobius(rho, alpha, s, spec):
@@ -458,8 +398,8 @@ def _verify_mobius(rho, alpha, s, spec):
         c1 = (1 + sgn * u * s**2) / 2
         c2 = (1 + sgn * u * s) / 2
         c2f = (1 - sgn * u * s) / 2
-        lhs += sgn * xi_d(MultiXiParams.make(mat, [c1, c2]), spec).value
-        rhs += sgn * xi_d(MultiXiParams.make(flip, [c1, c2f]), spec).value
+        lhs += sgn * _xi(mat, [c1, c2], spec)
+        rhs += sgn * _xi(flip, [c1, c2f], spec)
     return lhs, rhs, 4
 
 

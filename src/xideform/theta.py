@@ -109,13 +109,6 @@ class ThetaOperator:
             p = _poly_mul(p, d4)
         return ThetaOperator(f"delta4^{n}", tuple(_poly_trim(p)))
 
-    def compose(self, other: "ThetaOperator") -> "ThetaOperator":
-        """self applied after other (polynomials in D commute, so order is moot)."""
-        return ThetaOperator(
-            f"{self.name}*{other.name}",
-            tuple(_poly_trim(_poly_mul(np.array(self.dpoly), np.array(other.dpoly)))),
-        )
-
     @property
     def degree(self) -> int:
         return len(self.dpoly) - 1

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xideform import funceq
 from xideform.errors import DegenerateParameterError, DomainError
 from xideform.funceq import (
     IDENTITIES,
@@ -20,7 +23,7 @@ from xideform.funceq import (
     write_reports,
     zero_scan,
 )
-from xideform.gaussmat import RhoMatrix
+from xideform.gaussmat import RhoMatrix, closed_form_e
 from xideform.xi_core import xi
 
 PI = math.pi
@@ -429,3 +432,49 @@ def test_params_are_the_same_for_list_and_array_inputs():
     assert as_lists.params == as_arrays.params == as_matrix.params
     assert as_lists.params_hash() == as_arrays.params_hash() == as_matrix.params_hash()
     assert as_lists.params["s"] == [[0.8, 0.0], [0.6, 0.1]]
+
+
+# every id whose Xi transforms go through funceq.xi or funceq.xi_d (telescope's run inside
+# xi_sum_m, mean_value's in batches, and rho12_roots makes none)
+EVALUATION_CASES = [pytest.param(kind, REGISTRY_CASES[kind], id=kind) for kind in IDENTITIES
+                    if kind not in ("telescope", "mean_value", "rho12_roots")] + [
+    pytest.param("sk_flip", dict(rho=[[0.7 + 0.05j]], s=[0.3 + 1j], extras={"k": 0}), id="sk_flip-d1"),
+    pytest.param("sk_flip", dict(rho=RHO_3, s=[0.9 + 0.3j, -0.2, 1.4], extras={"k": 2}), id="sk_flip-d3"),
+]
+
+
+@pytest.mark.parametrize("kind, case", EVALUATION_CASES)
+def test_report_evaluations_count_the_xi_calls(kind, case, monkeypatch):
+    calls = []
+    for name in ("xi", "xi_d"):
+        original = getattr(funceq, name)
+        monkeypatch.setattr(funceq, name, lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))
+    rep = verify(kind, **case)
+    assert rep.evaluations == len(calls) > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]),
+       st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=3),
+       st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_sk_flip_property(seed, axis, re_s, im_s):
+    d, k = axis
+    rho = sample_convergent_rho(seed, d, imag_scale=0.1)
+    s = [complex(x, y) for x, y in zip(re_s[:d], im_s[:d])]
+    rep = verify(IdentityId("sk_flip", k), rho=rho, s=s)
+    assert rep.passed, f"seed {seed}, k {k}, s {s}: relative residual {rep.rel_residual:.2e}"
+
+
+@pytest.mark.parametrize("gamma, rho12, s1, s2", [
+    (1.0, 0.2, 0.3 + 1j, 0.7),
+    (0.8, 0.1 + 0.05j, 1.2 - 0.5j, -0.3 + 2j),
+    (1.3, -0.4 + 0.1j, 0.5 + 3j, 0.5 - 3j),
+    (0.9, 0.3j, -0.4, 1.6 + 0.2j),
+])
+def test_fun1_closed_part_is_the_four_exponential_combination(gamma, rho12, s1, s2):
+    # fun1's Gaussian group at rho11 = rho22 = gamma is e(rho, s)/4 times the bracket whose
+    # roots the rho12_roots family gives
+    rho = RhoMatrix.from_array([[gamma, rho12], [rho12, gamma]])
+    closed = funceq._fun1_closed(rho, s1, s2)
+    ref = closed_form_e(rho, [s1, s2]) / 4 * four_exponential_combination(gamma, rho12, s1, s2)
+    assert abs(closed - ref) <= 1e-13 * abs(ref)
