@@ -19,7 +19,7 @@ from .ode_solutions import (
     tilde_decomposition,
     vop_coefficients,
 )
-from .quadrature import IntegralResult, QuadSpec, integrate_log_axis, tensor_integrate
+from .quadrature import IntegralResult, QuadSpec
 from .theta import ThetaOperator, apply_theta_op, functional_residual, psi
 from .xi_core import MellinKernel, XiValue, heat_residual, mellin, xi, xi_sum_m, xi_tilde
 from .xi_multi import MultiXiParams, heat_residual_multi, jensen_flip_residual, xi_d
@@ -33,7 +33,7 @@ __all__ = [
     "RhoMatrix", "closed_form_e", "rescale_class",
     "DecompositionResult", "VopCoefficients", "a_pm", "canonical_decomposition", "chi",
     "tilde_decomposition", "vop_coefficients",
-    "IntegralResult", "QuadSpec", "integrate_log_axis", "tensor_integrate",
+    "IntegralResult", "QuadSpec",
     "ThetaOperator", "apply_theta_op", "functional_residual", "psi",
     "MellinKernel", "XiValue", "heat_residual", "mellin", "xi", "xi_sum_m", "xi_tilde",
     "MultiXiParams", "heat_residual_multi", "jensen_flip_residual", "xi_d",

@@ -266,15 +266,16 @@ def _verify_mean_value(rho, s, spec):
         vals = np.exp(-asum * x**2 + (s1 - s2) / 2 * x) * inner
         return vals.sum(), np.abs(vals).max()
 
-    lhs = trapezoid(node_sums, center - half - 1, center + half + 1, abs((s1 - s2).imag) / 2,
-                    spec or QuadSpec()).value
+    # one Mellin transform per outer node on the left, one on the right
+    outer = trapezoid(node_sums, center - half - 1, center + half + 1, abs((s1 - s2).imag) / 2,
+                      spec or QuadSpec())
     arg = (s1 * r22 + s2 * r11 - (s1 + s2) * r12) / (2 * asum)
     rhs = (
         np.sqrt(PI / asum)
         * np.exp((s1 - s2) ** 2 / (16 * asum))
         * mellin(MellinKernel(ThetaOperator.plain(), 0, rho.det() / asum, arg), spec).value
     )
-    return lhs, rhs, 2
+    return outer.value, rhs, outer.evaluations + 1
 
 
 _PAIR_FOR_K = {0: (1, 2), 1: (0, 2), 2: (0, 1)}

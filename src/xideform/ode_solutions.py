@@ -254,20 +254,24 @@ def canonical_sinh_coeff(rho) -> complex:
     return cmath.exp(1 / (32 * complex(rho))) * cmath.sqrt(PI / complex(rho)) / 2
 
 
-def canonical_decomposition(rho, s, spec: QuadSpec | None = None) -> DecompositionResult:
-    """e^{(-s^2+s)/16rho} Xi_rho(s) split into sinh/cosh parts and the Delta_4 integral."""
-    rho = _check_rho(rho)
-    s = complex(s)
-    sinh_c = canonical_sinh_coeff(rho)
-    cosh_c = cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value
+def _decomposition(rho, s, kernel, sinh_c, cosh_c, spec) -> DecompositionResult:
+    """sinh_c sinh(u) + cosh_c cosh(u) + (1/16rho) int_{1/2}^s kernel((s-t)/16rho) e^{q(t)}
+    M[(D4 Psi) e](t/2) dt, u = (1/2-s)/16rho, kernel np.sinh or np.cosh."""
     arg = (0.5 - s) / (16 * rho)
     integral, err = segment_weighted_mellin(
         ThetaOperator.delta4(), rho, 0.5, s,
-        lambda t: np.sinh((s - t) / (16 * rho)) * np.exp(_q(rho, 4.0, t)), spec,
+        lambda t: kernel((s - t) / (16 * rho)) * np.exp(_q(rho, 4.0, t)), spec,
     )
     integral_part = integral / (16 * rho)
     total = sinh_c * cmath.sinh(arg) + cosh_c * cmath.cosh(arg) + integral_part
     return DecompositionResult(sinh_c, cosh_c, integral_part, total, abs(err) / abs(16 * rho))
+
+
+def canonical_decomposition(rho, s, spec: QuadSpec | None = None) -> DecompositionResult:
+    """e^{(-s^2+s)/16rho} Xi_rho(s) split into sinh/cosh parts and the Delta_4 integral."""
+    rho = _check_rho(rho)
+    return _decomposition(rho, complex(s), np.sinh, canonical_sinh_coeff(rho),
+                          cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value, spec)
 
 
 def canonical_residual(rho, s, spec: QuadSpec | None = None) -> float:
@@ -293,17 +297,8 @@ def a_pm(rho, s, spec: QuadSpec | None = None):
 def tilde_decomposition(rho, s, spec: QuadSpec | None = None) -> DecompositionResult:
     """e^{(-s^2+s)/16rho} Xi~_rho(s) with cosh kernel; realizes C_rho = -e^{1/64rho} Xi_rho(1/2)."""
     rho = _check_rho(rho)
-    s = complex(s)
-    sinh_c = -cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value
-    cosh_c = -canonical_sinh_coeff(rho)
-    arg = (0.5 - s) / (16 * rho)
-    integral, err = segment_weighted_mellin(
-        ThetaOperator.delta4(), rho, 0.5, s,
-        lambda t: np.cosh((s - t) / (16 * rho)) * np.exp(_q(rho, 4.0, t)), spec,
-    )
-    integral_part = integral / (16 * rho)
-    total = sinh_c * cmath.sinh(arg) + cosh_c * cmath.cosh(arg) + integral_part
-    return DecompositionResult(sinh_c, cosh_c, integral_part, total, abs(err) / abs(16 * rho))
+    return _decomposition(rho, complex(s), np.cosh, -cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value,
+                          -canonical_sinh_coeff(rho), spec)
 
 
 def c_rho(rho, spec: QuadSpec | None = None) -> complex:

@@ -43,12 +43,11 @@ class QuadSpec:
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    trunc_radius: float = 9.0
     max_nodes: int | None = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.trunc_radius <= 0:
-            raise DomainError("QuadSpec tolerances and radius must be positive")
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
+            raise DomainError("QuadSpec tolerances must be positive")
 
     @staticmethod
     def for_dimension(d: int) -> "QuadSpec":
@@ -74,8 +73,8 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
     """Trapezoid rule on the anchored grid x_j = j h_i along each axis i of the box
     prod_i [x_lo_i, x_hi_i], halving every h_i as needed.
 
-    x_lo, x_hi and omega are scalars (d = 1) or per-axis sequences.  node_sums(x_1, ...,
-    x_d) returns (sum of the integrand over the tensor product of the node arrays,
+    x_lo, x_hi and omega are scalars (d = 1) or per-axis sequences (d <= 3).  node_sums(x_1,
+    ..., x_d) returns (sum of the integrand over the tensor product of the node arrays,
     largest modulus there), both scalars or both arrays over the integrand's
     components.  The first step along axis i is h_i = 2^-ceil(log2((omega_i + c) / pi))
     with c = (2/pi) ln(1/abs_tol): the transform decays like e^{-pi |Im a| / 2} along
@@ -91,6 +90,8 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
     """
     x_lo, x_hi, omega = ([float(v)] if np.isscalar(v) else [float(u) for u in v] for v in (x_lo, x_hi, omega))
     d = len(x_lo)
+    if d not in _MAX_NODES:
+        raise DomainError("the trapezoid rule supports d in {1, 2, 3}")
     volume = math.prod(hi - lo for lo, hi in zip(x_lo, x_hi))
     c = 2.0 / math.pi * math.log(1.0 / spec.abs_tol)
     h = [2.0 ** -math.ceil(math.log2((om + c) / math.pi)) for om in omega]
@@ -131,50 +132,6 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
             )
         s_even, h = s_even + s_new, [step / 2 for step in h]
         grid = [nodes(i, 0.0) for i in range(d)]
-
-
-def _summed(vals) -> tuple[complex, float]:
-    vals = np.asarray(vals, dtype=complex)
-    return complex(vals.sum()), float(np.abs(vals).max(initial=0.0))
-
-
-def _scalar(res: IntegralResult) -> IntegralResult:
-    return IntegralResult(complex(res.value), float(res.error_estimate), res.evaluations, float(res.peak_mass))
-
-
-def integrate_log_axis(integrand, spec: QuadSpec | None = None, x_lo: float | None = None,
-                       x_hi: float | None = None, omega: float = 0.0) -> IntegralResult:
-    """Integrate a complex-valued integrand over the truncated log axis [x_lo, x_hi].
-
-    The integrand must accept a numpy array of real points; omega is its oscillation
-    frequency on the window.  Defaults to the symmetric window [-trunc_radius, trunc_radius].
-    """
-    spec = spec or QuadSpec()
-    a = -spec.trunc_radius if x_lo is None else x_lo
-    b = spec.trunc_radius if x_hi is None else x_hi
-    if not b > a:
-        raise DomainError("empty integration window")
-    return _scalar(trapezoid(lambda x: _summed(integrand(x)), a, b, omega, spec))
-
-
-def tensor_integrate(integrand, d: int, spec: QuadSpec | None = None, x_lo=None, x_hi=None) -> IntegralResult:
-    """The trapezoid rule for a vectorized integrand over the box [x_lo, x_hi]^d, d <= 3.
-
-    The integrand must accept an array of shape (npoints, d) and return complex values;
-    x_lo and x_hi are scalars or per-axis sequences and default to [-trunc_radius,
-    trunc_radius].  The integrand is taken not to oscillate (omega = 0).
-    """
-    spec = spec or QuadSpec.for_dimension(d)
-    if d not in (1, 2, 3):
-        raise DomainError("tensor_integrate supports d in {1, 2, 3}")
-    lo = np.broadcast_to(-spec.trunc_radius if x_lo is None else np.asarray(x_lo, float), (d,))
-    hi = np.broadcast_to(spec.trunc_radius if x_hi is None else np.asarray(x_hi, float), (d,))
-
-    def node_sums(*axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        return _summed(integrand(np.stack([g.reshape(-1) for g in grids], axis=-1)))
-
-    return _scalar(trapezoid(node_sums, lo, hi, np.zeros(d), spec))
 
 
 @lru_cache(maxsize=16)
@@ -223,45 +180,3 @@ def clenshaw_curtis(node_values, spec: QuadSpec) -> IntegralResult:
         # the previous level's nodes are the even nodes of the new one
         odd = np.arange(1, f.shape[-1])
         f, f_err = np.insert(f, odd, new, axis=-1), np.insert(f_err, odd, new_err, axis=-1)
-
-
-def plan_axis(lin_re: float, quad_re: float, log_tol: float, theta_like: bool = True,
-              delta_like: bool = False) -> tuple[float, float]:
-    """Truncation window [x_lo, x_hi] for integrands e^{a x - rho x^2} * kernel(e^x).
-
-    lin_re is Re(a); quad_re is Re(rho) > 0.  Theta-bearing kernels grow like
-    e^{-x/2}/2 to the left and die like e^{-pi e^x} to the right; delta-like
-    (self-reciprocal) kernels die superexponentially on both sides.
-    """
-    if quad_re <= 0:
-        raise DomainError("Gaussian coefficient must have positive real part")
-    lam = max(log_tol, 8.0) + 6.0
-
-    def gauss_cut(slope):
-        # decay exponent slope*x - quad_re*x^2 going left: solve -slope X - c X^2 = -lam
-        return (-slope + math.sqrt(slope * slope + 4.0 * quad_re * lam)) / (2.0 * quad_re)
-
-    def theta_cut(slope):
-        # right side: slope*x - pi e^x = -lam, iterate (up to 40 times); once an
-        # iterate repeats, every later one equals it, so stopping there changes no bit
-        x = math.log1p(lam / math.pi)
-        for _ in range(40):
-            x, prev = math.log1p((lam + max(slope, 0.0) * max(x, 0.0)) / math.pi), x
-            if x == prev:
-                break
-        return x + 1.0
-
-    if not theta_like:
-        x_lo = -gauss_cut(lin_re)
-        x_hi = gauss_cut(-lin_re)
-        return x_lo, x_hi
-    left_slope = lin_re - 0.5
-    if delta_like:
-        # mirror of the right-side theta cut, driven by e^{-pi e^{-x}}
-        x_lo = -theta_cut(-(lin_re - 0.5)) - 1.0
-    else:
-        x_lo = -gauss_cut(left_slope)
-    x_hi = min(theta_cut(lin_re), gauss_cut(-lin_re))
-    return x_lo, x_hi
-
-

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionWarning
-from .quadrature import QuadSpec, integrate_log_axis, plan_axis, trapezoid
+from .quadrature import QuadSpec, trapezoid
 from .theta import LOG_TAIL_SPLIT, ThetaOperator, theta_values
 
 # Largest real exponent we allow inside exp() before declaring the evaluation
@@ -71,28 +71,25 @@ def _checked_exp(z):
     return np.exp(z)
 
 
-def node_data(op: ThetaOperator | None, x, rho, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def node_data(op: ThetaOperator, x, rho, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(V, E) with (op Psi)(e^x) x^m e^{-rho x^2} = V e^E at the real nodes x.
 
     E carries the Gaussian and, below LOG_TAIL_SPLIT, the e^{-x/2} growth of the theta
     sum, whose operator image is exactly c1 e^{-x/2} + c2 there; so V stays O(1), and a
     caller adds its linear exponent a x to E before anything is exponentiated.  This is
-    the one place the log-axis integrand is built.  op None is the pure exp kernel.
+    the one place the log-axis theta integrand is built.
     """
     x = np.asarray(x, dtype=float)
     E = -complex(rho) * x * x
-    if op is None:
-        V = np.ones(x.shape, dtype=complex)
-    else:
-        V = np.empty(x.shape, dtype=complex)
-        right = x >= LOG_TAIL_SPLIT
-        if right.any():
-            V[right] = theta_values(op, np.exp(x[right]))
-        if not right.all():
-            c1, c2 = op.left_tail_coeffs()
-            xl = x[~right]
-            V[~right] = c1 + c2 * np.exp(xl / 2.0)
-            E[~right] -= xl / 2.0
+    V = np.empty(x.shape, dtype=complex)
+    right = x >= LOG_TAIL_SPLIT
+    if right.any():
+        V[right] = theta_values(op, np.exp(x[right]))
+    if not right.all():
+        c1, c2 = op.left_tail_coeffs()
+        xl = x[~right]
+        V[~right] = c1 + c2 * np.exp(xl / 2.0)
+        E[~right] -= xl / 2.0
     if m:
         V *= x**m
     return V, E
@@ -100,12 +97,43 @@ def node_data(op: ThetaOperator | None, x, rho, m: int = 0) -> tuple[np.ndarray,
 
 def _window(op: ThetaOperator | None, lin, rho: complex, spec: QuadSpec):
     """Window [x_lo, x_hi] and oscillation frequency of (op Psi)(e^x) e^{b x - rho x^2}
-    for every linear coefficient b in lin (the window is their hull)."""
+    (op None: e^{b x - rho x^2} alone) for every linear coefficient b in lin; the window
+    is their hull.  Each cut is where the envelope falls below e^{-lam}, lam =
+    ln(1/min(abs_tol, 1e-10)) + 12: the Gaussian's on both sides for op None.  A theta
+    sum dies like e^{-pi e^x} on the right; on the left it grows like e^{-x/2}, unless
+    the kernel is self-reciprocal (its left-tail coefficients vanish) and dies like
+    e^{-pi e^{-x}}.
+    """
+    q = rho.real
+    if q <= 0:
+        raise DomainError("Gaussian coefficient must have positive real part")
+    lam = -math.log(min(spec.abs_tol, 1e-10)) + 12.0
+
+    def gauss_cut(slope):
+        # decay exponent slope*x - q*x^2 going left: solve -slope X - q X^2 = -lam
+        return (-slope + math.sqrt(slope * slope + 4.0 * q * lam)) / (2.0 * q)
+
+    def theta_cut(slope):
+        # right side: slope*x - pi e^x = -lam, iterate (up to 40 times); once an
+        # iterate repeats, every later one equals it, so stopping there changes no bit
+        x = math.log1p(lam / math.pi)
+        for _ in range(40):
+            x, prev = math.log1p((lam + max(slope, 0.0) * max(x, 0.0)) / math.pi), x
+            if x == prev:
+                break
+        return x + 1.0
+
+    def cuts(b):
+        if op is None:
+            return -gauss_cut(b), gauss_cut(-b)
+        if any(op.left_tail_coeffs()):
+            x_lo = -gauss_cut(b - 0.5)
+        else:  # mirror of the right-side theta cut
+            x_lo = -theta_cut(0.5 - b) - 1.0
+        return x_lo, min(theta_cut(b), gauss_cut(-b))
+
     lin = np.atleast_1d(lin)
-    tol_log = -math.log(min(spec.abs_tol, 1e-10)) + 6.0
-    delta_like = op is not None and not any(op.left_tail_coeffs())
-    windows = [plan_axis(re, rho.real, tol_log, theta_like=op is not None, delta_like=delta_like)
-               for re in {float(lin.real.min()), float(lin.real.max())}]  # once for one argument
+    windows = [cuts(b) for b in {float(lin.real.min()), float(lin.real.max())}]  # once for one argument
     x_lo, x_hi = min(w[0] for w in windows), max(w[1] for w in windows)
     omega = float(np.abs(lin.imag).max()) + 2.0 * abs(rho.imag) * max(abs(x_lo), abs(x_hi))
     return x_lo, x_hi, omega
@@ -145,13 +173,17 @@ def mellin(kernel: MellinKernel, spec: QuadSpec | None = None) -> XiValue:
         values, err = mellin_many(op, rho, a, m, spec)
         return XiValue(complex(values[0]), err)
     z = 1j * (a / (2 * rho)).imag
-    f = lambda x: (x + z) ** m * np.exp(a * (x + z) - rho * (x + z) ** 2)
-    res = integrate_log_axis(f, spec, *_window(None, a - 2 * rho * z, rho, spec))
+
+    def node_sums(x):
+        vals = (x + z) ** m * np.exp(a * (x + z) - rho * (x + z) ** 2)
+        return vals.sum(), np.abs(vals).max(initial=0.0)
+
+    res = trapezoid(node_sums, *_window(None, a - 2 * rho * z, rho, spec), spec)
     _warn_cancellation(res.peak_mass, res.value, spec)
-    return XiValue(res.value, res.error_estimate)
+    return XiValue(complex(res.value), float(res.error_estimate))
 
 
-def mellin_many(op: ThetaOperator | None, rho, args, m: int = 0,
+def mellin_many(op: ThetaOperator, rho, args, m: int = 0,
                 spec: QuadSpec | None = None) -> tuple[np.ndarray, float]:
     """M[(op Psi) ln^m exp(-rho ln^2)](a_k) for a whole array of arguments a_k.
 

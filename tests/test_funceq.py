@@ -434,10 +434,10 @@ def test_params_are_the_same_for_list_and_array_inputs():
     assert as_lists.params["s"] == [[0.8, 0.0], [0.6, 0.1]]
 
 
-# every id whose Xi transforms go through funceq.xi or funceq.xi_d (telescope's run inside
-# xi_sum_m, mean_value's in batches, and rho12_roots makes none)
+# every id whose Xi transforms go through funceq.xi, xi_d, mellin or mellin_many (telescope's
+# run inside xi_sum_m, and rho12_roots makes none); a mellin_many call makes one per argument
 EVALUATION_CASES = [pytest.param(kind, REGISTRY_CASES[kind], id=kind) for kind in IDENTITIES
-                    if kind not in ("telescope", "mean_value", "rho12_roots")] + [
+                    if kind not in ("telescope", "rho12_roots")] + [
     pytest.param("sk_flip", dict(rho=[[0.7 + 0.05j]], s=[0.3 + 1j], extras={"k": 0}), id="sk_flip-d1"),
     pytest.param("sk_flip", dict(rho=RHO_3, s=[0.9 + 0.3j, -0.2, 1.4], extras={"k": 2}), id="sk_flip-d3"),
 ]
@@ -446,11 +446,13 @@ EVALUATION_CASES = [pytest.param(kind, REGISTRY_CASES[kind], id=kind) for kind i
 @pytest.mark.parametrize("kind, case", EVALUATION_CASES)
 def test_report_evaluations_count_the_xi_calls(kind, case, monkeypatch):
     calls = []
-    for name in ("xi", "xi_d"):
+    for name in ("xi", "xi_d", "mellin", "mellin_many"):
         original = getattr(funceq, name)
-        monkeypatch.setattr(funceq, name, lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))
+        count = (lambda a: np.size(a[2])) if name == "mellin_many" else (lambda a: 1)
+        monkeypatch.setattr(funceq, name,
+                            lambda *a, _f=original, _n=count, **kw: calls.append(_n(a)) or _f(*a, **kw))
     rep = verify(kind, **case)
-    assert rep.evaluations == len(calls) > 0
+    assert rep.evaluations == sum(calls) > 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,21 +4,34 @@ import numpy as np
 import pytest
 
 from xideform.errors import DomainError, NonConvergenceError
-from xideform.quadrature import (
-    IntegralResult,
-    QuadSpec,
-    _cc_weights,
-    clenshaw_curtis,
-    integrate_log_axis,
-    plan_axis,
-    tensor_integrate,
-)
+from xideform.quadrature import IntegralResult, QuadSpec, _cc_weights, clenshaw_curtis, trapezoid
+from xideform.theta import ThetaOperator
+from xideform.xi_core import _window
 
 SQRT_PI = math.sqrt(math.pi)
 
 
+def _sums(vals):
+    return vals.sum(), np.abs(vals).max(initial=0.0)
+
+
+def log_axis(f, spec=None, x_lo=-9.0, x_hi=9.0, omega=0.0):
+    """The trapezoid rule for f, taking an array of points, over [x_lo, x_hi]."""
+    return trapezoid(lambda x: _sums(f(x)), x_lo, x_hi, omega, spec or QuadSpec())
+
+
+def box(f, d, spec=None, x_lo=-9.0, x_hi=9.0):
+    """The trapezoid rule for f, taking points of shape (n, d), over [x_lo, x_hi]^d."""
+
+    def node_sums(*axes):
+        grids = np.meshgrid(*axes, indexing="ij")
+        return _sums(f(np.stack([g.reshape(-1) for g in grids], axis=-1)))
+
+    return trapezoid(node_sums, [x_lo] * d, [x_hi] * d, [0.0] * d, spec or QuadSpec.for_dimension(d))
+
+
 def test_gaussian_integral():
-    res = integrate_log_axis(lambda x: np.exp(-x * x))
+    res = log_axis(lambda x: np.exp(-x * x))
     assert res.value.real == pytest.approx(SQRT_PI, abs=1e-12)
     assert abs(res.value.imag) < 1e-14
 
@@ -26,19 +39,19 @@ def test_gaussian_integral():
 def test_gauss_identity_with_linear_term():
     # integrand e^{-rho x^2 + s x} equals sqrt(pi/rho) e^{s^2/4rho}
     rho, s = 1.0, 2.0
-    res = integrate_log_axis(lambda x: np.exp(-rho * x * x + s * x), x_lo=-10, x_hi=12)
+    res = log_axis(lambda x: np.exp(-rho * x * x + s * x), x_lo=-10, x_hi=12)
     assert res.value.real == pytest.approx(SQRT_PI * math.exp(1.0), rel=1e-10)
 
 
 def test_odd_integrand_vanishes():
-    res = integrate_log_axis(lambda x: x * np.exp(-x * x))
+    res = log_axis(lambda x: x * np.exp(-x * x))
     assert abs(res.value) < 1e-12
 
 
 def test_complex_linear_coefficient():
     rho = 0.5
     s = 1.0 + 1.0j
-    res = integrate_log_axis(lambda x: np.exp(-rho * x * x + s * x), x_lo=-12, x_hi=12)
+    res = log_axis(lambda x: np.exp(-rho * x * x + s * x), x_lo=-12, x_hi=12)
     expected = np.sqrt(np.pi / rho) * np.exp(s * s / (4 * rho))
     assert abs(res.value - expected) < 1e-10 * abs(expected)
 
@@ -48,8 +61,8 @@ def test_linearity():
     f = lambda x: np.exp(-x * x)
     g = lambda x: np.exp(-2 * x * x) * x * x
     a, b = 2.0 - 1.0j, 0.7
-    combo = integrate_log_axis(lambda x: a * f(x) + b * g(x), spec).value
-    parts = a * integrate_log_axis(f, spec).value + b * integrate_log_axis(g, spec).value
+    combo = log_axis(lambda x: a * f(x) + b * g(x), spec).value
+    parts = a * log_axis(f, spec).value + b * log_axis(g, spec).value
     assert abs(combo - parts) < 2 * spec.abs_tol
 
 
@@ -57,21 +70,21 @@ def test_refinement_convergence():
     coarse_spec = QuadSpec(abs_tol=1e-8, rel_tol=1e-6)
     fine_spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
     f = lambda x: np.exp(-x * x) * np.cos(7 * x)
-    coarse = integrate_log_axis(f, coarse_spec)
-    fine = integrate_log_axis(f, fine_spec)
+    coarse = log_axis(f, coarse_spec)
+    fine = log_axis(f, fine_spec)
     assert abs(coarse.value - fine.value) <= max(coarse.error_estimate, 1e-9)
 
 
 def test_nonconvergence_carries_estimate():
     spec = QuadSpec(abs_tol=1e-14, rel_tol=1e-14, max_nodes=60)
     with pytest.raises(NonConvergenceError) as exc:
-        integrate_log_axis(lambda x: np.exp(-x * x) * np.cos(40 * x * x), spec)
+        log_axis(lambda x: np.exp(-x * x) * np.cos(40 * x * x), spec)
     assert exc.value.best_value is not None
     assert exc.value.error_estimate > 0
 
 
 def test_tensor_2d_product_gaussian():
-    res = tensor_integrate(lambda p: np.exp(-(p**2).sum(axis=1)), d=2, spec=QuadSpec(abs_tol=1e-11, rel_tol=1e-10))
+    res = box(lambda p: np.exp(-(p**2).sum(axis=1)), d=2, spec=QuadSpec(abs_tol=1e-11, rel_tol=1e-10))
     assert res.value.real == pytest.approx(math.pi, rel=1e-10)
 
 
@@ -83,30 +96,41 @@ def test_tensor_2d_coupled_gaussian_closed_form():
         quad = np.einsum("ni,ij,nj->n", p, rho, p)
         return np.exp(-quad + p @ (s / 2.0))
 
-    res = tensor_integrate(f, d=2, x_lo=-9, x_hi=11)
+    res = box(f, d=2, x_lo=-9, x_hi=11)
     det = np.linalg.det(rho)
     expected = math.sqrt(math.pi**2 / det) * math.exp(s @ np.linalg.inv(rho) @ s / 16.0)
     assert res.value.real == pytest.approx(expected, rel=1e-8)
 
 
 def test_tensor_3d_diagonal():
-    res = tensor_integrate(lambda p: np.exp(-(p**2).sum(axis=1)), d=3, x_lo=-6.5, x_hi=6.5)
+    res = box(lambda p: np.exp(-(p**2).sum(axis=1)), d=3, x_lo=-6.5, x_hi=6.5)
     assert res.value.real == pytest.approx(math.pi**1.5, rel=1e-8)
 
 
 def test_tensor_rejects_bad_dimension():
     with pytest.raises(DomainError):
-        tensor_integrate(lambda p: np.exp(-(p**2).sum(axis=1)), d=4)
+        trapezoid(lambda *axes: (0.0, 0.0), [-1.0] * 4, [1.0] * 4, [0.0] * 4, QuadSpec())
+
+
+# _window cuts where the envelope falls below e^{-lam}, lam = ln(1/min(abs_tol, 1e-10)) + 12;
+# abs_tol e^{-24} gives lam = 36
+LAM_36 = QuadSpec(abs_tol=math.exp(-24.0))
 
 
 def test_plan_axis_pure_gaussian_window():
-    x_lo, x_hi = plan_axis(0.0, 1.0, log_tol=30.0, theta_like=False)
+    x_lo, x_hi, _ = _window(None, 0.0, 1.0 + 0j, LAM_36)
     assert x_lo == pytest.approx(-x_hi)
     assert math.exp(-x_hi * x_hi) < 1e-14
 
 
+def test_window_rejects_non_decaying_gaussian():
+    for op in (None, ThetaOperator.plain(), ThetaOperator.delta4()):
+        with pytest.raises(DomainError):
+            _window(op, 0.0, 0.0 + 1j, QuadSpec())
+
+
 def test_plan_axis_theta_window_asymmetric():
-    x_lo, x_hi = plan_axis(0.25, 0.5, log_tol=30.0, theta_like=True)
+    x_lo, x_hi, _ = _window(ThetaOperator.plain(), 0.25, 0.5 + 0j, LAM_36)
     # left tail carries the t^(-1/2)/2 growth, right side dies under e^{-pi e^x}
     assert x_hi < 8.0
     assert x_lo < -6.0
@@ -134,10 +158,13 @@ def _plan_axis_40_iterations(lin_re, quad_re, log_tol, delta_like):
 
 @pytest.mark.parametrize("delta_like", [False, True])
 def test_plan_axis_matches_forty_iterations_bit_for_bit(delta_like):
-    for log_tol in (5.0, 20.0, 33.6, 40.5, 80.0):
+    # the self-reciprocal Delta_4 kernel takes the mirrored theta cut on the left
+    op = ThetaOperator.delta4() if delta_like else ThetaOperator.plain()
+    for abs_tol in (1e-10, 1e-12, 1e-15, 1e-30):
+        log_tol = -math.log(min(abs_tol, 1e-10)) + 6.0
         for lin_re in np.linspace(-4.0, 6.0, 41):
             for quad_re in (0.03, 0.5, 2.0):
-                got = plan_axis(float(lin_re), quad_re, log_tol, delta_like=delta_like)
+                got = _window(op, float(lin_re), complex(quad_re), QuadSpec(abs_tol=abs_tol))[:2]
                 assert got == _plan_axis_40_iterations(float(lin_re), quad_re, log_tol, delta_like)
 
 
@@ -181,7 +208,7 @@ def test_quadspec_validation():
 
 
 def test_result_fields():
-    res = integrate_log_axis(lambda x: np.exp(-x * x))
+    res = log_axis(lambda x: np.exp(-x * x))
     assert isinstance(res, IntegralResult)
     assert res.evaluations > 0
     assert res.error_estimate >= 0
