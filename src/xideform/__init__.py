@@ -20,9 +20,9 @@ from .ode_solutions import (
     vop_coefficients,
 )
 from .quadrature import IntegralResult, QuadSpec
-from .theta import ThetaOperator, apply_theta_op, functional_residual, psi
-from .xi_core import MellinKernel, XiValue, heat_residual, mellin, xi, xi_sum_m, xi_tilde
-from .xi_multi import MultiXiParams, heat_residual_multi, jensen_flip_residual, xi_d
+from .theta import ThetaOperator, apply_theta_op, psi
+from .xi_core import MellinKernel, XiValue, mellin, xi, xi_sum_m, xi_tilde
+from .xi_multi import MultiXiParams, heat_residual_multi, xi_d
 
 __version__ = "0.1.0"
 
@@ -34,8 +34,8 @@ __all__ = [
     "DecompositionResult", "VopCoefficients", "a_pm", "canonical_decomposition", "chi",
     "tilde_decomposition", "vop_coefficients",
     "IntegralResult", "QuadSpec",
-    "ThetaOperator", "apply_theta_op", "functional_residual", "psi",
-    "MellinKernel", "XiValue", "heat_residual", "mellin", "xi", "xi_sum_m", "xi_tilde",
-    "MultiXiParams", "heat_residual_multi", "jensen_flip_residual", "xi_d",
+    "ThetaOperator", "apply_theta_op", "psi",
+    "MellinKernel", "XiValue", "mellin", "xi", "xi_sum_m", "xi_tilde",
+    "MultiXiParams", "heat_residual_multi", "xi_d",
     "__version__",
 ]

@@ -114,11 +114,6 @@ def _spec_from_args(args) -> QuadSpec:
     return QuadSpec(abs_tol=max(abs_tol, 1e-15), rel_tol=max(abs_tol * 100, 1e-13))
 
 
-def _complex_fields(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def cmd_eval(args) -> int:
     spec = _spec_from_args(args)
     family = args.family

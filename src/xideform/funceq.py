@@ -1,9 +1,9 @@
 """Catalog of the named functional equations, each as an LHS/RHS verification.
 
-Every identity evaluates both sides independently (multidimensional quadrature on
-one side, lower-dimensional values plus Gaussian closed forms on the other) and
-returns a VerificationReport.  Root families (telescope, tilde, funcor, the special
-rho_12 locus) are generated in closed form and confirmed by quadrature.
+Each identity (the inversion laws of Psi, the heat and transport laws of Xi_rho, the
+2D/3D functional equations) evaluates its two sides by different routes and returns a
+VerificationReport.  Root families (telescope, tilde, funcor, the special rho_12 locus)
+are generated in closed form and confirmed by quadrature.
 """
 
 from __future__ import annotations
@@ -20,10 +20,14 @@ import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
 from .gaussmat import RhoMatrix, closed_form_e
+from .ode_solutions import (_check_rho, _chi_segment, _iterated_segment, _q, canonical_decomposition,
+                            canonical_sinh_coeff, iterated_P, segment_weighted_mellin, tilde_decomposition,
+                            vop_coefficients)
 from .quadrature import QuadSpec, trapezoid
-from .theta import ThetaOperator
-from .xi_core import mellin, MellinKernel, mellin_many, telescope_rhs, xi, xi_sum_m
-from .xi_multi import MultiXiParams, xi_d
+from .theta import ThetaOperator, apply_theta_op
+from .xi_core import (d_rho_xi, mellin, MellinKernel, mellin_delta4, mellin_many, telescope_rhs, xi, xi_ds,
+                      xi_sum_m, xi_tilde)
+from .xi_multi import jensen_xi_d, MultiXiParams, xi_d
 
 PI = math.pi
 
@@ -38,6 +42,8 @@ class Identity:
     complex s) or "extras" (the named `extras` alone, each declared by its type when
     required or by its default).  `index` names the IdentityId index, also read from
     extras.  The check takes the inputs and spec as keywords, returns (lhs, rhs, evaluations).
+    evaluations counts Mellin transforms: one per xi, mellin or xi_d, one per argument of
+    mellin_many, one per node of a segment integral, none for the inversion laws of Psi.
     """
 
     check: Callable
@@ -404,7 +410,195 @@ def _verify_mobius(rho, alpha, s, spec):
     return lhs, rhs, 4
 
 
+def _theta_at(op: ThetaOperator, t: float):
+    """((op Psi)(t), (op Psi)(1/t), t^(-1/2)) at t > 0."""
+    if t <= 0:
+        raise DomainError("t must be positive")
+    return apply_theta_op(op, t), apply_theta_op(op, 1.0 / t), 1.0 / math.sqrt(t)
+
+
+def _verify_psi_inversion(t, spec):
+    """Psi(t) = t^(-1/2) Psi(1/t) + (t^(-1/2) - 1)/2."""
+    at, inv, r = _theta_at(ThetaOperator.plain(), t)
+    return at, r * inv + (r - 1.0) / 2.0, 0
+
+
+def _verify_h4_inversion(t, spec):
+    """(H4 Psi)(t) = -t^(-1/2) (H4 Psi)(1/t) - (t^(-1/2) + 1)/2."""
+    at, inv, r = _theta_at(ThetaOperator.h(4.0), t)
+    return at, -r * inv - (r + 1.0) / 2.0, 0
+
+
+def _verify_delta4_inversion(t, spec):
+    """(D4 Psi)(t) = t^(-1/2) (D4 Psi)(1/t)."""
+    at, inv, r = _theta_at(ThetaOperator.delta4(), t)
+    return at, r * inv, 0
+
+
+def _verify_delta_inversion(t, alpha, spec):
+    """(Da Psi)(t) = t^(-1/2) [(Da Psi)(1/t) + a(a-4)/4 ((H4 Psi)(1/t) + 1/2)]."""
+    at, inv, r = _theta_at(ThetaOperator.delta(alpha), t)
+    return at, r * (inv + alpha * (alpha - 4.0) / 4.0 * (apply_theta_op(ThetaOperator.h(4.0), 1.0 / t) + 0.5)), 0
+
+
+def _delta4_lower_terms(rho: complex, s: complex, spec) -> complex:
+    """M[(Delta_4 Psi) e](s/2) - (4s(s-1) - 32 rho) Xi - 32 rho (1-2s) Xi', which the
+    second-order identification equates with (16 rho)^2 Xi''."""
+    return (
+        mellin_delta4(rho, s, spec).value
+        - (4 * s * (s - 1) - 32 * rho) * xi(rho, s, spec).value
+        - 32 * rho * (1 - 2 * s) * xi_ds(rho, s, 1, spec).value
+    )
+
+
+def _verify_delta4_identity(rho, s, spec):
+    """M[(Delta_4 Psi) e](s/2) = (4s(s-1) - 32 rho) Xi + 32 rho (1-2s) Xi' + (16 rho)^2 Xi''."""
+    return _delta4_lower_terms(rho, s, spec), (16 * rho) ** 2 * xi_ds(rho, s, 2, spec).value, 4
+
+
+def _verify_heat(rho, s, spec):
+    """d_rho Xi = -4 d^2_s Xi: the ln^2 log moment against d^2_s Xi from the Delta_4 identification."""
+    return d_rho_xi(rho, s, spec).value, -(4 * _delta4_lower_terms(rho, s, spec) / (16 * rho) ** 2), 4
+
+
+def _verify_tilde_moment(rho, s, spec):
+    """Xi~_rho(s) = (1 - 2s) Xi_rho(s) + 16 rho d_s Xi_rho(s): the H_4 kernel against two moments."""
+    rhs = (1 - 2 * s) * xi(rho, s, spec).value + 16 * rho * xi_ds(rho, s, 1, spec).value
+    return xi_tilde(rho, s, spec).value, rhs, 3
+
+
+def _verify_jensen_flip(rho, s, k, spec):
+    """xi(rho, s) = xi(flip_k rho, s_k -> 1 - s_k) for the Jensen kernel: Delta_4 Psi has no boundary term."""
+    s_flip = s.copy()
+    s_flip[k] = 1 - s_flip[k]
+    return jensen_xi_d(rho, s, spec).value, jensen_xi_d(rho.flip_k(k), s_flip, spec).value, 2
+
+
+def _w(rho, alpha, s, spec) -> complex:
+    """W(s) = e^{q(s)} Xi_rho(s), q(s) = (-s^2 + (4/alpha) s)/16rho, the transported Xi."""
+    return cmath.exp(_q(rho, alpha, s)) * xi(rho, s, spec).value
+
+
+def _h_segment(rho, alpha, z, s, spec):
+    """int_z^s e^{q(t)} M[(H_alpha Psi) e](t/2) dt, the first-order law's integral."""
+    return segment_weighted_mellin(ThetaOperator.h(alpha), rho, z, s, lambda t: np.exp(_q(rho, alpha, t)), spec)
+
+
+def _verify_fde1(rho, alpha, z, s, spec):
+    """4 alpha rho (W(s) - W(z)) = int_z^s e^q M[(H_alpha Psi) e](t/2) dt."""
+    rho = _check_rho(rho)
+    if alpha == 0:
+        raise DomainError("alpha must be nonzero")
+    seg = _h_segment(rho, alpha, z, s, spec)
+    return _w(rho, alpha, s, spec), _w(rho, alpha, z, spec) + seg.value / (4 * alpha * rho), seg.evaluations + 2
+
+
+def _verify_fde1_reflected(rho, alpha, z, s, spec):
+    """fde1 with its integral reflected onto 1-z .. 1-s at the operator index alpha/(alpha/2 - 1),
+    plus a closed boundary term; alpha = 2 degenerates the index."""
+    rho = _check_rho(rho)
+    if alpha == 0:
+        raise DomainError("alpha must be nonzero")
+    if alpha == 2:
+        raise DegenerateParameterError("alpha = 2 degenerates the reflected operator index")
+    alpha_t = alpha / (alpha / 2 - 1)
+    boundary = lambda x: (cmath.sqrt(PI / rho) / 2) * (
+        cmath.exp((1 - (4 / alpha) * (alpha / 2 - 1) * x) / (16 * rho)) - cmath.exp((4 / alpha) * x / (16 * rho)))
+    seg = _h_segment(rho, alpha_t, 1 - z, 1 - s, spec)
+    rhs = (_w(rho, alpha, z, spec) + boundary(s) - boundary(z)
+           + cmath.exp((4 / alpha - 1) / (16 * rho)) * (alpha / 2 - 1) / (4 * alpha * rho) * seg.value)
+    return _w(rho, alpha, s, spec), rhs, seg.evaluations + 2
+
+
+def _verify_halpha_vanishing(rho, alpha, z, z_prime, spec):
+    """int_z^{z'} e^q M[(H_alpha Psi) e](t/2) dt = 0 where W(z) = W(z')."""
+    seg = _h_segment(_check_rho(rho), alpha, z, z_prime, spec)
+    return seg.value, 0.0, seg.evaluations
+
+
+def _verify_second_order(rho, alpha, s, spec):
+    """((4 alpha rho)^2 d^2/ds^2 - id) W = e^q M[(Delta_alpha Psi) e](s/2), with e^q cancelled
+    and the derivatives expanded analytically onto log-moment kernels."""
+    rho = _check_rho(rho)
+    if alpha == 0:
+        raise DomainError("alpha must be nonzero")
+    c = 4 * alpha * rho
+    qp = (-2 * s + 4 / alpha) / (16 * rho)
+    qpp = -1 / (8 * rho)
+    xi0 = xi(rho, s, spec).value
+    m1 = mellin(MellinKernel(ThetaOperator.plain(), 1, rho, s / 2), spec).value / 2
+    m2 = mellin(MellinKernel(ThetaOperator.plain(), 2, rho, s / 2), spec).value / 4
+    lhs = (c * c * (qpp + qp * qp) - 1) * xi0 + 2 * c * c * qp * m1 + c * c * m2
+    return lhs, mellin(MellinKernel(ThetaOperator.delta(alpha), 0, rho, s / 2), spec).value, 4
+
+
+def _verify_vop_reconstruction(rho, alpha, beta, z, s, spec):
+    """A sinh((b1-s)/c) + B cosh((b2-s)/c) + (1/c) int_z^s sinh((s-t)/c) e^q M[(Delta_alpha Psi) e](t/2) dt
+    = W(s), c = 4 alpha rho, with A, B the variation-of-parameters coefficients at z."""
+    rho = _check_rho(rho)
+    c = 4 * alpha * rho
+    co = vop_coefficients(rho, alpha, beta, z, spec)
+    seg = segment_weighted_mellin(ThetaOperator.delta(alpha), rho, z, s,
+                                  lambda t: np.sinh((s - t) / c) * np.exp(_q(rho, alpha, t)), spec)
+    total = co.A * cmath.sinh((co.beta[0] - s) / c) + co.B * cmath.cosh((co.beta[1] - s) / c) + seg.value / c
+    return total, _w(rho, alpha, s, spec), seg.evaluations + 3
+
+
+def _verify_vop_constraint(rho, beta, spec):
+    """A (e^{(b1-1)/16rho} + e^{-b1/16rho}) + B (e^{(b2-1)/16rho} - e^{-b2/16rho}) = sqrt(pi/rho) at
+    alpha = 4, z = 1/2: the telescope identity closing the coefficients."""
+    rho = _check_rho(rho)
+    co = vop_coefficients(rho, 4.0, beta, 0.5, spec)
+    b1, b2 = co.beta
+    lhs = (co.A * (cmath.exp((b1 - 1) / (16 * rho)) + cmath.exp(-b1 / (16 * rho)))
+           + co.B * (cmath.exp((b2 - 1) / (16 * rho)) - cmath.exp(-b2 / (16 * rho))))
+    return lhs, cmath.sqrt(PI / rho), 2
+
+
+def _verify_chi_transform(rho, phi, alpha, s, z, spec):
+    """The reflection law of chi sending (phi, s, z) to (2 - phi, 1 - s, 1 - z)."""
+    rho = _check_rho(rho)
+    lhs = _chi_segment(ThetaOperator.delta(alpha), rho, phi, s, z, spec)
+    main = _chi_segment(ThetaOperator.delta(alpha), rho, 2 - phi, 1 - s, 1 - z, spec)
+    h4_int = _chi_segment(ThetaOperator.h(4.0), rho, 2 - phi, 1 - s, 1 - z, spec)
+    if phi == 2:
+        bracket = (1 - s) - (1 - z)
+    else:
+        bracket = (16 * rho / (2 - phi)) * (
+            cmath.exp((2 - phi) * (1 - s) / (16 * rho)) - cmath.exp((2 - phi) * (1 - z) / (16 * rho)))
+    rhs = -cmath.exp((phi - 1) / (16 * rho)) * (
+        main.value + (alpha * (alpha - 4) / 4) * (h4_int.value + cmath.sqrt(PI / rho) / 2 * bracket))
+    return lhs.value, rhs, lhs.evaluations + main.evaluations + h4_int.evaluations
+
+
+def _verify_canonical(rho, s, spec):
+    """W(s) at alpha = 4 from its canonical sinh/cosh/Delta_4-integral decomposition."""
+    dec = canonical_decomposition(rho, s, spec)
+    return dec.total, _w(rho, 4.0, s, spec), dec.evaluations + 1
+
+
+def _verify_tilde(rho, s, spec):
+    """e^q Xi~_rho(s) at alpha = 4 from the tilde decomposition (cosh kernel)."""
+    dec = tilde_decomposition(rho, s, spec)
+    return dec.total, cmath.exp(_q(rho, 4.0, s)) * xi_tilde(rho, s, spec).value, dec.evaluations + 1
+
+
+def _verify_iterated_expansion(rho, s, n, spec):
+    """W(s) = sinh coeff sinh(u) + e^{1/64rho} sum_{i<n} M[(Delta_4^i Psi) e](1/4) P^i(s)/(16rho)^i
+    + I^n(s)/(16rho)^n at alpha = 4, u = (1/2 - s)/16rho."""
+    rho = _check_rho(rho)
+    seg = _iterated_segment(rho, n, s, spec)
+    total = canonical_sinh_coeff(rho) * cmath.sinh((0.5 - s) / (16 * rho))
+    weight = cmath.exp(1 / (64 * rho))
+    for i in range(n):
+        m_val = mellin(MellinKernel(ThetaOperator.delta4_power(i), 0, rho, 0.25), spec).value
+        total += weight * m_val * iterated_P(rho, i, s) / (16 * rho) ** i
+    total += seg.value / (16 * rho) ** n
+    return _w(rho, 4.0, s, spec), total, seg.evaluations + n + 1
+
+
 _REWRITE_3D = {"rho": complex, "gamma": complex, "s": complex}
+_TRANSPORT = {"rho": complex, "alpha": complex, "z": complex, "s": complex}
 
 IDENTITIES: dict[str, Identity] = {
     "telescope": Identity(_verify_telescope, 1e-9, "scalar", index="m"),
@@ -424,6 +618,28 @@ IDENTITIES: dict[str, Identity] = {
         "rho": complex, "alpha": complex, "s": complex, "n": 0}),
     "mobius_rewrite": Identity(_verify_mobius, 1e-6, "extras", extras={
         "rho": complex, "alpha": complex, "s": complex}),
+    "psi_inversion": Identity(_verify_psi_inversion, 1e-12, "extras", extras={"t": float}),
+    "h4_inversion": Identity(_verify_h4_inversion, 1e-12, "extras", extras={"t": float}),
+    "delta4_inversion": Identity(_verify_delta4_inversion, 1e-12, "extras", extras={"t": float}),
+    "delta_inversion": Identity(_verify_delta_inversion, 1e-10, "extras", extras={"t": float, "alpha": complex}),
+    "delta4_identity": Identity(_verify_delta4_identity, 1e-8, "scalar"),
+    "heat": Identity(_verify_heat, 1e-12, "scalar"),
+    "tilde_moment": Identity(_verify_tilde_moment, 1e-9, "scalar"),
+    "jensen_flip": Identity(_verify_jensen_flip, 1e-8, "matrix", index="k"),
+    "fde1": Identity(_verify_fde1, 1e-8, "extras", extras=_TRANSPORT),
+    "fde1_reflected": Identity(_verify_fde1_reflected, 1e-8, "extras", extras=_TRANSPORT),
+    "halpha_vanishing": Identity(_verify_halpha_vanishing, 1e-8, "extras", extras={
+        "rho": complex, "alpha": complex, "z": complex, "z_prime": complex}),
+    "second_order": Identity(_verify_second_order, 1e-8, "extras", extras={
+        "rho": complex, "alpha": complex, "s": complex}),
+    "vop_reconstruction": Identity(_verify_vop_reconstruction, 1e-8, "extras", extras={
+        "rho": complex, "alpha": complex, "beta": tuple, "z": complex, "s": complex}),
+    "vop_constraint": Identity(_verify_vop_constraint, 1e-9, "extras", extras={"rho": complex, "beta": tuple}),
+    "chi_transform": Identity(_verify_chi_transform, 1e-7, "extras", extras={
+        "rho": complex, "phi": complex, "alpha": complex, "s": complex, "z": complex}),
+    "canonical": Identity(_verify_canonical, 1e-9, "scalar"),
+    "tilde": Identity(_verify_tilde, 1e-8, "scalar"),
+    "iterated_expansion": Identity(_verify_iterated_expansion, 1e-7, "scalar", index="n"),
 }
 
 
@@ -465,7 +681,7 @@ def _inputs(ident: IdentityId, entry: Identity, rho, s, extras: dict) -> dict:
 
 def _json(value):
     """An input as JSON numbers: complex as [re, im], vectors and matrices as lists."""
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         return value
     z = np.asarray(value.array() if isinstance(value, RhoMatrix) else value, dtype=complex)
     return np.stack([z.real, z.imag], axis=-1).tolist()

@@ -10,6 +10,8 @@ At alpha = 4, beta = (1/2, 1/2), z = 1/2 the coefficients close against the
 telescope identity into the canonical normalisation
 
   sinh coeff = e^{1/(32 rho)} sqrt(pi/rho) / 2,   cosh coeff = e^{1/(64 rho)} Xi_rho(1/2).
+
+Each of these laws is checked as a `funceq.IDENTITIES` entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
-from .quadrature import QuadSpec, clenshaw_curtis
+from .quadrature import IntegralResult, QuadSpec, clenshaw_curtis
 from .theta import ThetaOperator
 from .xi_core import mellin, MellinKernel, mellin_many, xi
 
@@ -56,21 +58,22 @@ class DecompositionResult:
     integral_part: complex
     total: complex
     quad_error: float
+    evaluations: int  # Mellin transforms made
 
 
-def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec | None = None):
+def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec | None = None) -> IntegralResult:
     """int_z^s weight(t) M[(op Psi) e^{-rho ln^2}](t/2) dt along the straight segment.
 
     weight is a vectorized callable of the contour points; it may return a stacked
     (k, N) array, giving k integrals (and k errors) over one set of Mellin values.
     The nested Clenshaw-Curtis rule evaluates each level's new points in one mellin_many
-    call; the error is its last doubling's difference plus the rounding floor plus the
-    Mellin bound weighted by |weight|.
+    call (`evaluations` counts them); the error is its last doubling's difference plus the
+    rounding floor plus the Mellin bound weighted by |weight|.
     """
     z, s = complex(z), complex(s)
     if z == s:
         zero = np.zeros(np.shape(weight(np.array([z])))[:-1], dtype=complex)[()]
-        return zero, abs(zero)
+        return IntegralResult(zero, abs(zero), 0)
     spec = spec or QuadSpec()
 
     def node_values(u):
@@ -79,79 +82,7 @@ def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec
         wt = weight(t) * (s - z)
         return wt * mvals, m_err * np.abs(wt)
 
-    res = clenshaw_curtis(node_values, spec)
-    return res.value, res.error_estimate
-
-
-def fde1_residual(rho, alpha, z, s, spec: QuadSpec | None = None, include_reflected: bool = True):
-    """Residuals of the two first-order transport equalities; (r1, r2).
-
-    r2 is the reflected form with operator index alpha/(alpha/2 - 1); alpha = 2
-    degenerates it and raises unless include_reflected is False.
-    """
-    rho = _check_rho(rho)
-    alpha = complex(alpha)
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    z, s = complex(z), complex(s)
-    w_s = cmath.exp(_q(rho, alpha, s)) * xi(rho, s, spec).value
-    w_z = cmath.exp(_q(rho, alpha, z)) * xi(rho, z, spec).value
-    integral, _ = segment_weighted_mellin(
-        ThetaOperator.h(alpha), rho, z, s, lambda t: np.exp(_q(rho, alpha, t)), spec
-    )
-    r1 = abs(w_s - (w_z + integral / (4 * alpha * rho)))
-    if not include_reflected:
-        return r1, None
-    if alpha == 2:
-        raise DegenerateParameterError("alpha = 2 degenerates the reflected operator index")
-    alpha_t = alpha / (alpha / 2 - 1)
-
-    def boundary(x):
-        return (cmath.sqrt(PI / rho) / 2) * (
-            cmath.exp((1 - (4 / alpha) * (alpha / 2 - 1) * x) / (16 * rho))
-            - cmath.exp((4 / alpha) * x / (16 * rho))
-        )
-
-    reflected, _ = segment_weighted_mellin(
-        ThetaOperator.h(alpha_t), rho, 1 - z, 1 - s, lambda t: np.exp(_q(rho, alpha_t, t)), spec
-    )
-    rhs = (
-        w_z
-        + boundary(s) - boundary(z)
-        + cmath.exp((4 / alpha - 1) / (16 * rho)) * (alpha / 2 - 1) / (4 * alpha * rho) * reflected
-    )
-    return r1, abs(w_s - rhs)
-
-
-def halpha_vanishing_residual(rho, alpha, z, z_prime, spec: QuadSpec | None = None) -> float:
-    """|int_z^{z'} e^{q(t)} M[(H_alpha Psi) e](t/2) dt|; zero when the weighted values agree."""
-    rho = _check_rho(rho)
-    alpha = complex(alpha)
-    integral, _ = segment_weighted_mellin(
-        ThetaOperator.h(alpha), rho, z, z_prime, lambda t: np.exp(_q(rho, alpha, t)), spec
-    )
-    return abs(integral)
-
-
-def second_order_residual(rho, alpha, s, spec: QuadSpec | None = None) -> float:
-    """Residual of ((4 alpha rho)^2 d^2/ds^2 - id) W = e^q M[(Delta_alpha Psi) e](s/2),
-
-    with the derivative expanded analytically onto log-moment kernels (e^q cancelled).
-    """
-    rho = _check_rho(rho)
-    alpha = complex(alpha)
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    s = complex(s)
-    c = 4 * alpha * rho
-    qp = (-2 * s + 4 / alpha) / (16 * rho)
-    qpp = -1 / (8 * rho)
-    xi0 = xi(rho, s, spec).value
-    m1 = mellin(MellinKernel(ThetaOperator.plain(), 1, rho, s / 2), spec).value / 2
-    m2 = mellin(MellinKernel(ThetaOperator.plain(), 2, rho, s / 2), spec).value / 4
-    lhs = (c * c * (qpp + qp * qp) - 1) * xi0 + 2 * c * c * qp * m1 + c * c * m2
-    rhs = mellin(MellinKernel(ThetaOperator.delta(alpha), 0, rho, s / 2), spec).value
-    return abs(lhs - rhs)
+    return clenshaw_curtis(node_values, spec)
 
 
 def _check_beta(rho, alpha, beta):
@@ -182,72 +113,14 @@ def vop_coefficients(rho, alpha, beta, z, spec: QuadSpec | None = None) -> VopCo
     return VopCoefficients(A, B, (b1, b2), alpha, z, rho)
 
 
-def vop_reconstruction_residual(rho, alpha, beta, z, s, spec: QuadSpec | None = None) -> float:
-    """|W(s) - [A sinh((b1-s)/c) + B cosh((b2-s)/c) + sinh-kernel integral]|."""
-    rho = _check_rho(rho)
-    alpha = complex(alpha)
-    z, s = complex(z), complex(s)
-    c = 4 * alpha * rho
-    co = vop_coefficients(rho, alpha, beta, z, spec)
-    integral, _ = segment_weighted_mellin(
-        ThetaOperator.delta(alpha), rho, z, s,
-        lambda t: np.sinh((s - t) / c) * np.exp(_q(rho, alpha, t)), spec,
-    )
-    total = (
-        co.A * cmath.sinh((co.beta[0] - s) / c)
-        + co.B * cmath.cosh((co.beta[1] - s) / c)
-        + integral / c
-    )
-    w_s = cmath.exp(_q(rho, alpha, s)) * xi(rho, s, spec).value
-    return abs(total - w_s)
-
-
-def vop_constraint_residual(rho, beta, spec: QuadSpec | None = None) -> float:
-    """Telescope closure constraint at alpha = 4, z = 1/2:
-
-    A (e^{(b1-1)/16rho} + e^{-b1/16rho}) + B (e^{(b2-1)/16rho} - e^{-b2/16rho}) = sqrt(pi/rho).
-    """
-    rho = _check_rho(rho)
-    co = vop_coefficients(rho, 4.0, beta, 0.5, spec)
-    b1, b2 = co.beta
-    lhs = co.A * (cmath.exp((b1 - 1) / (16 * rho)) + cmath.exp(-b1 / (16 * rho))) + co.B * (
-        cmath.exp((b2 - 1) / (16 * rho)) - cmath.exp(-b2 / (16 * rho))
-    )
-    return abs(lhs - cmath.sqrt(PI / rho))
+def _chi_segment(op: ThetaOperator, rho: complex, phi: complex, s, z, spec) -> IntegralResult:
+    """int_z^s e^{(-t^2 + phi t)/16rho} M[(op Psi) e](t/2) dt: chi's integral for any operator."""
+    return segment_weighted_mellin(op, rho, z, s, lambda t: np.exp((-(t * t) + phi * t) / (16 * rho)), spec)
 
 
 def chi(rho, phi, alpha, s, z, spec: QuadSpec | None = None) -> complex:
     """chi_rho(phi, alpha, s, z) = int_z^s e^{(-t^2 + phi t)/16rho} M[(Delta_alpha Psi) e](t/2) dt."""
-    rho = _check_rho(rho)
-    phi, alpha = complex(phi), complex(alpha)
-    val, _ = segment_weighted_mellin(
-        ThetaOperator.delta(alpha), rho, z, s,
-        lambda t: np.exp((-(t * t) + phi * t) / (16 * rho)), spec,
-    )
-    return val
-
-
-def chi_transform_residual(rho, phi, alpha, s, z, spec: QuadSpec | None = None) -> float:
-    """|LHS - RHS| of the reflection law sending (phi, s, z) -> (2-phi, 1-s, 1-z)."""
-    rho = _check_rho(rho)
-    phi, alpha = complex(phi), complex(alpha)
-    s, z = complex(s), complex(z)
-    lhs = chi(rho, phi, alpha, s, z, spec)
-    main = chi(rho, 2 - phi, alpha, 1 - s, 1 - z, spec)
-    h4_int, _ = segment_weighted_mellin(
-        ThetaOperator.h(4.0), rho, 1 - z, 1 - s,
-        lambda t: np.exp((-(t * t) + (2 - phi) * t) / (16 * rho)), spec,
-    )
-    if phi == 2:
-        bracket = (1 - s) - (1 - z)
-    else:
-        bracket = (16 * rho / (2 - phi)) * (
-            cmath.exp((2 - phi) * (1 - s) / (16 * rho)) - cmath.exp((2 - phi) * (1 - z) / (16 * rho))
-        )
-    rhs = -cmath.exp((phi - 1) / (16 * rho)) * (
-        main + (alpha * (alpha - 4) / 4) * (h4_int + cmath.sqrt(PI / rho) / 2 * bracket)
-    )
-    return abs(lhs - rhs)
+    return _chi_segment(ThetaOperator.delta(complex(alpha)), _check_rho(rho), complex(phi), s, z, spec).value
 
 
 def canonical_sinh_coeff(rho) -> complex:
@@ -256,15 +129,17 @@ def canonical_sinh_coeff(rho) -> complex:
 
 def _decomposition(rho, s, kernel, sinh_c, cosh_c, spec) -> DecompositionResult:
     """sinh_c sinh(u) + cosh_c cosh(u) + (1/16rho) int_{1/2}^s kernel((s-t)/16rho) e^{q(t)}
-    M[(D4 Psi) e](t/2) dt, u = (1/2-s)/16rho, kernel np.sinh or np.cosh."""
+    M[(D4 Psi) e](t/2) dt, u = (1/2-s)/16rho, kernel np.sinh or np.cosh.  Each caller's
+    coefficients hold one Xi_rho(1/2), counted in `evaluations` with the segment's nodes."""
     arg = (0.5 - s) / (16 * rho)
-    integral, err = segment_weighted_mellin(
+    res = segment_weighted_mellin(
         ThetaOperator.delta4(), rho, 0.5, s,
         lambda t: kernel((s - t) / (16 * rho)) * np.exp(_q(rho, 4.0, t)), spec,
     )
-    integral_part = integral / (16 * rho)
+    integral_part = res.value / (16 * rho)
     total = sinh_c * cmath.sinh(arg) + cosh_c * cmath.cosh(arg) + integral_part
-    return DecompositionResult(sinh_c, cosh_c, integral_part, total, abs(err) / abs(16 * rho))
+    return DecompositionResult(sinh_c, cosh_c, integral_part, total, abs(res.error_estimate) / abs(16 * rho),
+                               res.evaluations + 1)
 
 
 def canonical_decomposition(rho, s, spec: QuadSpec | None = None) -> DecompositionResult:
@@ -274,44 +149,30 @@ def canonical_decomposition(rho, s, spec: QuadSpec | None = None) -> Decompositi
                           cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value, spec)
 
 
-def canonical_residual(rho, s, spec: QuadSpec | None = None) -> float:
-    dec = canonical_decomposition(rho, s, spec)
-    w = cmath.exp(_q(complex(rho), 4.0, complex(s))) * xi(rho, s, spec).value
-    return abs(dec.total - w)
-
-
 def a_pm(rho, s, spec: QuadSpec | None = None):
     """a±(s) = (1/32rho) int_{1/2}^s (e^{(1/2-t)/16rho} ± e^{(t-1/2)/16rho}) e^{q(t)} M[(D4 Psi) e](t/2) dt."""
     rho = _check_rho(rho)
     s = complex(s)
     signs = np.array([[1.0], [-1.0]])
-    vals, _ = segment_weighted_mellin(
+    vals = segment_weighted_mellin(
         ThetaOperator.delta4(), rho, 0.5, s,
         lambda t: (np.exp((0.5 - t) / (16 * rho)) + signs * np.exp((t - 0.5) / (16 * rho)))
         * np.exp(_q(rho, 4.0, t)),
         spec,
-    )
+    ).value
     return tuple(vals / (32 * rho))
 
 
 def tilde_decomposition(rho, s, spec: QuadSpec | None = None) -> DecompositionResult:
-    """e^{(-s^2+s)/16rho} Xi~_rho(s) with cosh kernel; realizes C_rho = -e^{1/64rho} Xi_rho(1/2)."""
+    """e^{(-s^2+s)/16rho} Xi~_rho(s) with cosh kernel and sinh coefficient C_rho (`c_rho`)."""
     rho = _check_rho(rho)
-    return _decomposition(rho, complex(s), np.cosh, -cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value,
-                          -canonical_sinh_coeff(rho), spec)
+    return _decomposition(rho, complex(s), np.cosh, c_rho(rho, spec), -canonical_sinh_coeff(rho), spec)
 
 
 def c_rho(rho, spec: QuadSpec | None = None) -> complex:
-    """The tilde decomposition's sinh coefficient, -e^{1/64rho} Xi_rho(1/2)."""
-    return tilde_decomposition(rho, 0.75, spec).sinh_coeff
-
-
-def tilde_residual(rho, s, spec: QuadSpec | None = None) -> float:
-    dec = tilde_decomposition(rho, s, spec)
-    w = cmath.exp(_q(complex(rho), 4.0, complex(s))) * mellin(
-        MellinKernel(ThetaOperator.h(4.0), 0, complex(rho), complex(s) / 2), spec
-    ).value
-    return abs(dec.total - w)
+    """The tilde decomposition's sinh coefficient, C_rho = -e^{1/64rho} Xi_rho(1/2)."""
+    rho = _check_rho(rho)
+    return -cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value
 
 
 def p_closed_form_1(rho, s) -> complex:
@@ -355,26 +216,34 @@ def iterated_I(rho, n: int, s, spec: QuadSpec | None = None) -> complex:
     """I^n: n nested sinh kernels ending in e^{q(t)} M[(Delta_4^n Psi) e](t/2), integrated in exchanged
     order as int_{1/2}^s K_n(s-t) e^{q(t)} M[...](t/2) dt with the closed-form sinh-convolution kernel
     K_n (a series near t = s): one segment pass for every n."""
+    return _iterated_segment(rho, n, s, spec).value
+
+
+def _iterated_segment(rho, n: int, s, spec) -> IntegralResult:
+    """iterated_I's segment integral, with the node count the iterated_expansion identity reports."""
     rho = _check_rho(rho)
     s = complex(s)
     if n < 1 or n > 3:
         raise DomainError("I^n supported for 1 <= n <= 3")
-    val, _ = segment_weighted_mellin(
+    return segment_weighted_mellin(
         ThetaOperator.delta4_power(n), rho, 0.5, s,
         lambda t: _sinh_power_kernel(n, s - t, 16 * rho) * np.exp(_q(rho, 4.0, t)), spec,
     )
-    return val
 
 
-def iterated_expansion_residual(rho, n: int, s, spec: QuadSpec | None = None) -> float:
-    """Residual of the n-term expansion of e^{q} Xi_rho(s) in P^i and I^n."""
-    rho = _check_rho(rho)
-    s = complex(s)
-    lhs = cmath.exp(_q(rho, 4.0, s)) * xi(rho, s, spec).value
-    total = canonical_sinh_coeff(rho) * cmath.sinh((0.5 - s) / (16 * rho))
-    weight = cmath.exp(1 / (64 * rho))
-    for i in range(n):
-        m_val = mellin(MellinKernel(ThetaOperator.delta4_power(i), 0, rho, 0.25), spec).value
-        total += weight * m_val * iterated_P(rho, i, s) / (16 * rho) ** i
-    total += iterated_I(rho, n, s, spec) / (16 * rho) ** n
-    return abs(lhs - total)
+def _verify_alias(kind: str, *names):
+    """funceq.verify(kind, ...).abs_residual with the replaced helper's positional inputs.  Only perfbench's
+    segments cases call these five: delete them with the next benchmark change, which calls verify."""
+    def residual(*args) -> float:
+        from .funceq import IDENTITIES, verify  # funceq imports this module
+        inputs = dict(zip(names, args, strict=True))
+        scalar = {name: inputs.pop(name) for name in ("rho", "s")} if IDENTITIES[kind].inputs == "scalar" else {}
+        return verify(kind, **scalar, extras=inputs).abs_residual
+    return residual
+
+
+canonical_residual = _verify_alias("canonical", "rho", "s")
+tilde_residual = _verify_alias("tilde", "rho", "s")
+vop_reconstruction_residual = _verify_alias("vop_reconstruction", "rho", "alpha", "beta", "z", "s")
+chi_transform_residual = _verify_alias("chi_transform", "rho", "phi", "alpha", "s", "z")
+iterated_expansion_residual = _verify_alias("iterated_expansion", "rho", "n", "s")

@@ -232,40 +232,3 @@ def apply_theta_op(op: ThetaOperator, t, eps: float = DEFAULT_EPS):
     scalar = np.isscalar(t)
     vals = theta_values(op, t, eps)
     return complex(vals[0]) if scalar else vals
-
-
-def functional_residual(kind: str, t: float, alpha=None, eps: float = DEFAULT_EPS) -> float:
-    """|LHS - RHS| of the inversion identity for Psi, H4 Psi, Delta4 Psi or Delta_alpha Psi.
-
-    Psi(t)      =  t^(-1/2) Psi(1/t) + (t^(-1/2) - 1)/2
-    (H4 Psi)(t) = -t^(-1/2) (H4 Psi)(1/t) - (t^(-1/2) + 1)/2
-    (D4 Psi)(t) =  t^(-1/2) (D4 Psi)(1/t)
-    (Da Psi)(t) =  t^(-1/2) [(Da Psi)(1/t) + a(a-4)/4 ((H4 Psi)(1/t) + 1/2)]
-    """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    r = 1.0 / math.sqrt(t)
-    if kind == "psi":
-        lhs = apply_theta_op(ThetaOperator.plain(), t, eps)
-        rhs = r * apply_theta_op(ThetaOperator.plain(), 1.0 / t, eps) + (r - 1.0) / 2.0
-    elif kind == "h4":
-        op = ThetaOperator.h(4.0)
-        lhs = apply_theta_op(op, t, eps)
-        rhs = -r * apply_theta_op(op, 1.0 / t, eps) - (r + 1.0) / 2.0
-    elif kind == "delta4":
-        op = ThetaOperator.delta4()
-        lhs = apply_theta_op(op, t, eps)
-        rhs = r * apply_theta_op(op, 1.0 / t, eps)
-    elif kind == "delta_alpha":
-        if alpha is None:
-            raise DomainError("delta_alpha residual needs alpha")
-        a = complex(alpha)
-        op = ThetaOperator.delta(a)
-        lhs = apply_theta_op(op, t, eps)
-        rhs = r * (
-            apply_theta_op(op, 1.0 / t, eps)
-            + a * (a - 4.0) / 4.0 * (apply_theta_op(ThetaOperator.h(4.0), 1.0 / t, eps) + 0.5)
-        )
-    else:
-        raise DomainError(f"unknown residual kind {kind!r}")
-    return abs(lhs - rhs)

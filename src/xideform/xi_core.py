@@ -232,15 +232,6 @@ def xi_tilde(rho, s, spec: QuadSpec | None = None) -> XiValue:
     return mellin(MellinKernel(ThetaOperator.h(4.0), 0, complex(rho), complex(s) / 2), spec)
 
 
-def xi_tilde_moment_path(rho, s, spec: QuadSpec | None = None) -> XiValue:
-    """(1 - 2s) Xi_rho(s) + 16 rho d_s Xi_rho(s); the cross-check route."""
-    rho, s = complex(rho), complex(s)
-    base = xi(rho, s, spec)
-    der = xi_ds(rho, s, 1, spec)
-    return XiValue((1 - 2 * s) * base.value + 16 * rho * der.value,
-                   abs(1 - 2 * s) * base.quad_error + abs(16 * rho) * der.quad_error)
-
-
 def xi_sum_m(rho, s, m: int, spec: QuadSpec | None = None) -> XiValue:
     """Xi^m_rho(s) = sum_{l=0..m} Xi_rho(s + l)."""
     if m < 0:
@@ -269,33 +260,7 @@ def mellin_delta4(rho, s, spec: QuadSpec | None = None) -> XiValue:
     return mellin(MellinKernel(ThetaOperator.delta4(), 0, complex(rho), complex(s) / 2), spec)
 
 
-def _delta4_lower_terms(rho: complex, s: complex, spec) -> complex:
-    """M[(Delta_4 Psi) e](s/2) - (4s(s-1) - 32 rho) Xi - 32 rho (1-2s) Xi', which the
-    second-order identification equates with (16 rho)^2 Xi''."""
-    return (
-        mellin_delta4(rho, s, spec).value
-        - (4 * s * (s - 1) - 32 * rho) * xi(rho, s, spec).value
-        - 32 * rho * (1 - 2 * s) * xi_ds(rho, s, 1, spec).value
-    )
-
-
-def delta4_identity_residual(rho, s, spec: QuadSpec | None = None) -> float:
-    """Residual of the second-order identification
-
-    M[(Delta_4 Psi) e](s/2) = (4s(s-1) - 32 rho) Xi + 32 rho (1-2s) Xi' + (16 rho)^2 Xi''.
-    """
-    rho, s = complex(rho), complex(s)
-    return abs(_delta4_lower_terms(rho, s, spec) - (16 * rho) ** 2 * xi_ds(rho, s, 2, spec).value)
-
-
 def d_rho_xi(rho, s, spec: QuadSpec | None = None) -> XiValue:
     """d/drho Xi_rho(s) = -M[Psi ln^2 exp(-rho ln^2)](s/2)."""
     base = mellin(MellinKernel(ThetaOperator.plain(), 2, complex(rho), complex(s) / 2), spec)
     return XiValue(-base.value, base.quad_error)
-
-
-def heat_residual(rho, s, spec: QuadSpec | None = None) -> float:
-    """|d_rho Xi + 4 d^2_s Xi|: d_rho Xi is the ln^2 log moment, d^2_s Xi comes from the
-    Delta_4 identification (`delta4_identity_residual`), so the sides are different integrals."""
-    rho, s = complex(rho), complex(s)
-    return abs(d_rho_xi(rho, s, spec).value + 4 * _delta4_lower_terms(rho, s, spec) / (16 * rho) ** 2)

@@ -124,15 +124,6 @@ def jensen_xi_d(rho, s, spec: QuadSpec | None = None) -> XiValue:
     return xi_d(MultiXiParams.make(rho, s, "jensen"), spec)
 
 
-def jensen_flip_residual(rho, s, k: int, spec: QuadSpec | None = None) -> float:
-    """|xi(rho, s) - xi(flip_k rho, s with s_k -> 1-s_k)|; Delta_4 Psi kills the boundary."""
-    params = MultiXiParams.make(rho, s, "jensen")
-    s_flipped = list(params.s)
-    s_flipped[k] = 1 - s_flipped[k]
-    flipped = MultiXiParams.make(params.rho.flip_k(k), s_flipped, "jensen")
-    return abs(xi_d(params, spec).value - xi_d(flipped, spec).value)
-
-
 def heat_residual_multi(rho, s, i: int, j: int, spec: QuadSpec | None = None) -> float:
     """|d_rho_ij Xi + 8/(1+delta_ij) d^2_{s_i s_j} Xi|, both as one log-moment integral.
 

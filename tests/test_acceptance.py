@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from xideform.funceq import (
+    IdentityId,
     candidate_zeros,
     critical_sum_rescaled,
     sample_convergent_rho,
@@ -20,18 +21,14 @@ from xideform.funceq import (
 from xideform.ode_solutions import (
     a_pm,
     canonical_decomposition,
-    canonical_residual,
-    iterated_expansion_residual,
     iterated_I,
     iterated_P,
     p_closed_form_1,
     tilde_decomposition,
-    tilde_residual,
 )
 from xideform.xi_core import (
     MellinKernel,
     d_rho_xi,
-    heat_residual,
     mellin,
     telescope_rhs,
     xi,
@@ -87,7 +84,7 @@ def test_criterion_02_telescope():
 
 def test_criterion_03_heat_equation():
     points = [(1.0, 0.5), (0.5, 1 + 1j), (0.25, 2.0), (2.0, -0.5), (1.0, 0.3 + 0.8j)]
-    worst_same = max(heat_residual(rho, s) for rho, s in points)
+    worst_same = max(verify("heat", rho=rho, s=s).abs_residual for rho, s in points)
     worst_fd = 0.0
     h = 1e-4
     for rho, s in points:
@@ -163,7 +160,7 @@ CANONICAL_POINTS = [(0.25, 1.3), (0.5, 2.0), (0.5, 0.8 + 0.6j), (1.0, 2.0), (1.0
 
 
 def test_criterion_07_canonical_decomposition():
-    worst = max(canonical_residual(rho, s) for rho, s in CANONICAL_POINTS)
+    worst = max(verify("canonical", rho=rho, s=s).abs_residual for rho, s in CANONICAL_POINTS)
     sym_worst = 0.0
     parity_worst = 0.0
     for rho, s in ((0.5, 1.6), (1.0, 1.7), (0.25, 0.9)):
@@ -181,7 +178,7 @@ def test_criterion_07_canonical_decomposition():
 
 def test_criterion_08_tilde_decomposition():
     points = [(0.25, 0.8), (0.5, 1.3), (1.0, 1.3), (1.0, 0.6 + 0.5j)]
-    worst = max(tilde_residual(rho, s) for rho, s in points)
+    worst = max(verify("tilde", rho=rho, s=s).abs_residual for rho, s in points)
     h = 1e-4
     rho, s = 1.0, 1.3
     fd = 16 * rho * (canonical_decomposition(rho, s + h).total - canonical_decomposition(rho, s - h).total) / (2 * h)
@@ -192,7 +189,8 @@ def test_criterion_08_tilde_decomposition():
 
 
 def test_criterion_09_iterated_expansion():
-    worst = max(iterated_expansion_residual(rho, 2, s) for rho, s in ((1.0, 1.2), (0.5, 0.8)))
+    worst = max(verify(IdentityId("iterated_expansion", 2), rho=rho, s=s).abs_residual
+                for rho, s in ((1.0, 1.2), (0.5, 0.8)))
     p1 = max(abs(iterated_P(rho, 1, s) - p_closed_form_1(rho, s)) for rho, s in ((1.0, 1.4), (0.5, 0.3)))
     sym = 0.0
     for n in (1, 2):

@@ -8,6 +8,8 @@ from xideform.cli import build_parser, main, parse_complex, parse_range, parse_r
 from xideform.funceq import IDENTITIES, verify
 from xideform.quadrature import QuadSpec
 
+from test_funceq import REGISTRY_CASES
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -241,11 +243,36 @@ def test_verify_choices_are_the_registry_ids_with_options(capsys):
             accepted.add(kind)
         except SystemExit:
             assert "invalid choice" in capsys.readouterr().err
-    # rewrite_2d and mobius_rewrite need an alpha, which has no option
+    # rewrite_2d, mobius_rewrite and the transport laws need an alpha, beta, z, phi or t, which
+    # have no option
     assert accepted == {
         "telescope", "sk_flip", "fun1", "fun11", "funcor1", "funcor2", "mean_value", "result3d",
         "sixterm", "rho12_roots", "rewrite_3d_a", "rewrite_3d_b",
+        "delta4_identity", "heat", "tilde_moment", "canonical", "tilde", "iterated_expansion", "jensen_flip",
     }
+
+
+def _literal(z) -> str:
+    """A complex number as the command line reads it back bit for bit."""
+    z = complex(z)
+    return f"{z.real!r}{z.imag:+.17g}i"
+
+
+@pytest.mark.parametrize("kind", ["delta4_identity", "heat", "tilde_moment", "canonical", "tilde",
+                                  "iterated_expansion", "jensen_flip"])
+def test_verify_reaches_the_scalar_and_jensen_ids(kind, capsys):
+    case = REGISTRY_CASES[kind]
+    argv = ["verify", kind] + [f"--{name}={value}" for name, value in case.get("extras", {}).items()]
+    if np.ndim(case["rho"]):
+        argv += ["--rho-matrix", ";".join(",".join(map(_literal, row)) for row in case["rho"])]
+    else:
+        argv += ["--rho", _literal(case["rho"])]
+    code, out, _ = run_cli(argv + ["--s", ",".join(map(_literal, np.atleast_1d(case["s"])))], capsys)
+    assert code == 0
+    rec = json.loads(out.strip())
+    library = verify(kind, **case, spec=QuadSpec(abs_tol=1e-12, rel_tol=1e-10))
+    assert rec["abs_residual"] == library.abs_residual
+    assert rec["params"] == library.params
 
 
 def test_verify_rewrite_3d_a_from_rho_gamma_s(capsys):

@@ -5,28 +5,20 @@ import numpy as np
 import pytest
 
 from xideform.errors import DegenerateParameterError, DomainError
+from xideform.funceq import IdentityId, verify
 from xideform.ode_solutions import (
     _sinh_power_kernel,
     a_pm,
     c_rho,
     canonical_decomposition,
-    canonical_residual,
     canonical_sinh_coeff,
     chi,
-    chi_transform_residual,
-    fde1_residual,
-    halpha_vanishing_residual,
-    iterated_expansion_residual,
     iterated_I,
     iterated_P,
     p_closed_form_1,
-    second_order_residual,
     segment_weighted_mellin,
     tilde_decomposition,
-    tilde_residual,
     vop_coefficients,
-    vop_constraint_residual,
-    vop_reconstruction_residual,
 )
 from xideform.theta import ThetaOperator
 from xideform.xi_core import mellin, mellin_many, MellinKernel, telescope_rhs, xi
@@ -42,30 +34,32 @@ def _gauss_panels(a, b, n_panels, order):
     return (mid[:, None] + half * x).reshape(-1), np.tile(half * w, n_panels)
 
 
+def fde1(kind, rho, alpha, z, s):
+    return verify(kind, extras={"rho": rho, "alpha": alpha, "z": z, "s": s}).abs_residual
+
+
 def test_fde1_both_equalities():
-    r1, r2 = fde1_residual(1.0, 4.0, 0.5, 1.5)
-    assert r1 < 1e-8
-    assert r2 < 1e-8
+    assert fde1("fde1", 1.0, 4.0, 0.5, 1.5) < 1e-8
+    assert fde1("fde1_reflected", 1.0, 4.0, 0.5, 1.5) < 1e-8
 
 
 def test_fde1_empty_segment():
-    r1, _ = fde1_residual(1.0, 4.0, 0.8, 0.8, include_reflected=False)
-    assert r1 < 1e-12
+    assert fde1("fde1", 1.0, 4.0, 0.8, 0.8) < 1e-12
 
 
 def test_fde1_general_alpha():
-    r1, r2 = fde1_residual(0.7, 3.0, 0.4, 1.2 + 0.3j)
-    assert r1 < 1e-8
-    assert r2 < 1e-8
+    assert fde1("fde1", 0.7, 3.0, 0.4, 1.2 + 0.3j) < 1e-8
+    assert fde1("fde1_reflected", 0.7, 3.0, 0.4, 1.2 + 0.3j) < 1e-8
 
 
 def test_fde1_errors():
-    with pytest.raises(DomainError):
-        fde1_residual(1.0, 0.0, 0.5, 1.0)
+    for kind in ("fde1", "fde1_reflected"):
+        with pytest.raises(DomainError):
+            fde1(kind, 1.0, 0.0, 0.5, 1.0)
     with pytest.raises(DegenerateParameterError):
-        fde1_residual(1.0, 2.0, 0.5, 1.0)
-    r1, r2 = fde1_residual(1.0, 2.0, 0.5, 1.2, include_reflected=False)
-    assert r1 < 1e-8 and r2 is None
+        fde1("fde1_reflected", 1.0, 2.0, 0.5, 1.0)
+    # alpha = 2 degenerates only the reflected form
+    assert fde1("fde1", 1.0, 2.0, 0.5, 1.2) < 1e-8
 
 
 def test_halpha_vanishing_at_telescope_zero():
@@ -73,13 +67,12 @@ def test_halpha_vanishing_at_telescope_zero():
     # rho = 0.1 keeps the e^{q} weight along the vertical segment in range
     rho = 0.1
     z = 0.5 + 16 * rho * PI * 1j
-    assert halpha_vanishing_residual(rho, 4.0, z, 1 - z) < 1e-8
+    assert verify("halpha_vanishing", extras={"rho": rho, "alpha": 4.0, "z": z, "z_prime": 1 - z}).abs_residual < 1e-8
 
 
 def test_second_order_residual():
-    assert second_order_residual(0.5, 4.0, 0.7) < 1e-8
-    assert second_order_residual(0.5, 2.0, 0.7) < 1e-8
-    assert second_order_residual(1.0, 3.0, 1.1 + 0.4j) < 1e-8
+    for rho, alpha, s in ((0.5, 4.0, 0.7), (0.5, 2.0, 0.7), (1.0, 3.0, 1.1 + 0.4j)):
+        assert verify("second_order", extras={"rho": rho, "alpha": alpha, "s": s}).abs_residual < 1e-8
 
 
 def test_second_order_finite_difference():
@@ -92,12 +85,16 @@ def test_second_order_finite_difference():
     assert abs(fd - direct) < 1e-5 * max(1.0, abs(direct))
 
 
+def vop_reconstruction(rho, alpha, beta, z, s):
+    return verify("vop_reconstruction", extras={"rho": rho, "alpha": alpha, "beta": beta, "z": z, "s": s}).abs_residual
+
+
 def test_vop_reconstruction_general_beta():
-    assert vop_reconstruction_residual(1.0, 4.0, (0.0, 1.0), 0.25, 1.2) < 1e-8
+    assert vop_reconstruction(1.0, 4.0, (0.0, 1.0), 0.25, 1.2) < 1e-8
 
 
 def test_vop_reconstruction_complex_point():
-    assert vop_reconstruction_residual(0.5, 4.0, (0.3, 0.9), 0.5, 0.8 + 0.6j) < 1e-8
+    assert vop_reconstruction(0.5, 4.0, (0.3, 0.9), 0.5, 0.8 + 0.6j) < 1e-8
 
 
 def test_vop_canonical_coefficients():
@@ -109,7 +106,7 @@ def test_vop_canonical_coefficients():
 
 def test_vop_constraint():
     for beta in ((0.5, 0.5), (0.0, 1.0)):
-        assert vop_constraint_residual(1.0, beta) < 1e-9
+        assert verify("vop_constraint", extras={"rho": 1.0, "beta": beta}).abs_residual < 1e-9
 
 
 def test_vop_degenerate_beta():
@@ -138,17 +135,21 @@ def test_chi_phi1_alpha4_antireflection():
     assert abs(a + b) < 1e-8
 
 
+def chi_transform(rho, phi, alpha, s, z):
+    return verify("chi_transform", extras={"rho": rho, "phi": phi, "alpha": alpha, "s": s, "z": z}).abs_residual
+
+
 def test_chi_transform_general_phi():
-    assert chi_transform_residual(0.5, 0.7, 3.0, 1.2, 0.4) < 1e-7
+    assert chi_transform(0.5, 0.7, 3.0, 1.2, 0.4) < 1e-7
 
 
 def test_chi_transform_phi2_branch():
-    assert chi_transform_residual(0.5, 2.0, 3.0, 1.1, 0.3) < 1e-7
+    assert chi_transform(0.5, 2.0, 3.0, 1.1, 0.3) < 1e-7
 
 
 def test_canonical_reconstruction():
-    assert canonical_residual(1.0, 2.0) < 1e-9
-    assert canonical_residual(0.5, 1.3 + 0.4j) < 1e-9
+    assert verify("canonical", rho=1.0, s=2.0).abs_residual < 1e-9
+    assert verify("canonical", rho=0.5, s=1.3 + 0.4j).abs_residual < 1e-9
 
 
 def test_canonical_at_half():
@@ -203,8 +204,8 @@ def test_a_pm_parity_and_reconstruction():
 
 
 def test_tilde_decomposition_dual_path():
-    assert tilde_residual(1.0, 1.3) < 1e-8
-    assert tilde_residual(0.5, 0.7 + 0.5j) < 1e-8
+    assert verify("tilde", rho=1.0, s=1.3).abs_residual < 1e-8
+    assert verify("tilde", rho=0.5, s=0.7 + 0.5j).abs_residual < 1e-8
 
 
 def test_tilde_c_rho_realized():
@@ -257,14 +258,14 @@ def test_p_recursion_finite_differences():
 
 def test_expansion_n1_matches_canonical():
     rho, s = 1.0, 1.2
-    assert iterated_expansion_residual(rho, 1, s) < 1e-8
+    assert verify(IdentityId("iterated_expansion", 1), rho=rho, s=s).abs_residual < 1e-8
 
 
 def test_expansion_n2():
     # and n = 3, the same single segment pass with the K_3 kernel
     for n in (2, 3):
         for rho, s in ((1.0, 1.2), (0.5, 0.8), (1.0, 0.9 + 12j)):
-            assert iterated_expansion_residual(rho, n, s) < 1e-7
+            assert verify(IdentityId("iterated_expansion", n), rho=rho, s=s).abs_residual < 1e-7
 
 
 def _nested_gauss_i2(rho, s, n_panels=8, order=12):
@@ -328,14 +329,12 @@ def test_decomposition_conjugate_symmetry():
 
 
 def test_segment_weighted_mellin_error_reported():
-    val, err = segment_weighted_mellin(
-        ThetaOperator.delta4(), 1.0, 0.5, 1.5, lambda t: np.ones_like(t)
-    )
+    res = segment_weighted_mellin(ThetaOperator.delta4(), 1.0, 0.5, 1.5, lambda t: np.ones_like(t))
+    val, err = res.value, res.error_estimate
     assert err < 1e-9
     assert abs(val) > 0
     # a stacked (k, N) weight gives k integrals and k errors over the same Mellin values
-    vals, errs = segment_weighted_mellin(
-        ThetaOperator.delta4(), 1.0, 0.5, 1.5, lambda t: np.stack([np.ones_like(t), t])
-    )
+    res = segment_weighted_mellin(ThetaOperator.delta4(), 1.0, 0.5, 1.5, lambda t: np.stack([np.ones_like(t), t]))
+    vals, errs = res.value, res.error_estimate
     assert vals.shape == errs.shape == (2,)
     assert vals[0] == pytest.approx(val, rel=1e-15) and errs[1] < 1e-9

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xideform.errors import DomainError, UnsupportedOrderError
+from xideform.funceq import verify
 from xideform.theta import (
     DEFAULT_EPS,
     SMALL_T,
     ThetaOperator,
     _op_polys,
     apply_theta_op,
-    functional_residual,
     psi,
     term_count,
     theta_values,
@@ -128,15 +128,15 @@ def test_delta4_reflection_example():
 
 
 def test_functional_residuals():
-    assert functional_residual("psi", 1.0) < 1e-15
-    assert functional_residual("delta4", 5.0) < 1e-12
-    assert functional_residual("delta_alpha", 2.0, alpha=2.0) < 1e-12
-    assert functional_residual("h4", 0.7) < 1e-12
+    assert verify("psi_inversion", extras={"t": 1.0}).abs_residual < 1e-15
+    assert verify("delta4_inversion", extras={"t": 5.0}).abs_residual < 1e-12
+    assert verify("delta_inversion", extras={"t": 2.0, "alpha": 2.0}).abs_residual < 1e-12
+    assert verify("h4_inversion", extras={"t": 0.7}).abs_residual < 1e-12
 
 
 def test_psi_reflection_residual_grid():
     for t in np.linspace(0.1, 10.0, 100):
-        assert functional_residual("psi", float(t)) < 1e-12 * (1 + t**-0.5)
+        assert verify("psi_inversion", extras={"t": float(t)}).abs_residual < 1e-12 * (1 + t**-0.5)
 
 
 def test_truncation_certificate():
@@ -158,13 +158,13 @@ def test_truncation_certificate():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.05, max_value=20.0))
 def test_psi_reflection_property(t):
-    assert functional_residual("psi", t) < 1e-11 * (1 + t**-0.5)
+    assert verify("psi_inversion", extras={"t": t}).abs_residual < 1e-11 * (1 + t**-0.5)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.5, max_value=6.0))
 def test_delta_alpha_reflection_property(t, alpha):
-    assert functional_residual("delta_alpha", t, alpha=alpha) < 1e-10 * (1 + t**-0.5)
+    assert verify("delta_inversion", extras={"t": t, "alpha": alpha}).abs_residual < 1e-10 * (1 + t**-0.5)
 
 
 def test_vectorized_matches_scalar():

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from xideform import xi_core
 from xideform.errors import DomainError
+from xideform.funceq import verify
 from xideform.quadrature import QuadSpec
 from xideform.theta import DEFAULT_EPS, LOG_TAIL_SPLIT, ThetaOperator, theta_values
 from xideform.xi_core import (
     MellinKernel,
     XiValue,
     d_rho_xi,
-    delta4_identity_residual,
-    heat_residual,
     mellin,
     mellin_delta4,
     mellin_many,
@@ -24,7 +23,6 @@ from xideform.xi_core import (
     xi_ds,
     xi_sum_m,
     xi_tilde,
-    xi_tilde_moment_path,
     xi_tilde_sum_m,
 )
 
@@ -129,10 +127,9 @@ def test_conjugation_symmetry():
 
 
 def test_xi_tilde_dual_path():
-    rho, s = 1.0, 0.3 + 0.7j
-    direct = xi_tilde(rho, s)
-    moment = xi_tilde_moment_path(rho, s)
-    assert abs(direct.value - moment.value) < 1e-9 * max(1.0, abs(direct.value))
+    # the direct H_4 kernel against (1 - 2s) Xi + 16 rho d_s Xi
+    rep = verify("tilde_moment", rho=1.0, s=0.3 + 0.7j)
+    assert rep.abs_residual < 1e-9 * max(1.0, abs(rep.lhs))
 
 
 def test_xi_tilde_zero_point():
@@ -161,18 +158,18 @@ def test_mellin_delta4_oracle_and_symmetry():
 
 
 def test_second_order_identity():
-    assert delta4_identity_residual(0.5, 1.2) < 1e-8
-    assert delta4_identity_residual(1.0, 0.3 + 0.4j) < 1e-8
+    assert verify("delta4_identity", rho=0.5, s=1.2).abs_residual < 1e-8
+    assert verify("delta4_identity", rho=1.0, s=0.3 + 0.4j).abs_residual < 1e-8
 
 
 def test_heat_residual_same_moment():
-    assert heat_residual(1.0, 0.5) < 1e-12
-    assert heat_residual(0.5, 1 + 1j) < 1e-12
+    assert verify("heat", rho=1.0, s=0.5).abs_residual < 1e-12
+    assert verify("heat", rho=0.5, s=1 + 1j).abs_residual < 1e-12
 
 
 def test_heat_residual_compares_independent_integrals():
     # d_rho Xi (the ln^2 moment) against d^2_s Xi from the Delta_4 kernel: not zero by algebra
-    assert 0 < heat_residual(0.1, -0.5 + 20j) < 1e-12
+    assert 0 < verify("heat", rho=0.1, s=-0.5 + 20j).abs_residual < 1e-12
 
 
 def test_heat_finite_difference_cross_check():

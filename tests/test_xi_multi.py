@@ -6,7 +6,7 @@ import pytest
 
 from xideform import xi_multi
 from xideform.errors import DomainError, NonConvergenceError
-from xideform.funceq import sample_convergent_rho
+from xideform.funceq import IdentityId, sample_convergent_rho, verify
 from xideform.quadrature import QuadSpec
 from xideform.theta import ThetaOperator
 from xideform.xi_core import mellin, MellinKernel, mellin_many, xi
@@ -14,7 +14,6 @@ from xideform.xi_multi import (
     MultiXiParams,
     d_rho_ij_xi_d,
     heat_residual_multi,
-    jensen_flip_residual,
     jensen_xi_d,
     xi_d,
 )
@@ -94,11 +93,11 @@ def test_axis_data_once_per_axis_and_parity(monkeypatch, rho, s):
 
 
 def test_jensen_flip_d1():
-    assert jensen_flip_residual([[1.0]], [0.3], 0) < 1e-9
+    assert verify(IdentityId("jensen_flip", 0), rho=[[1.0]], s=[0.3]).abs_residual < 1e-9
 
 
 def test_jensen_flip_d2():
-    assert jensen_flip_residual([[1.0, 0.2], [0.2, 1.0]], [0.7, 1.1], 0) < 1e-8
+    assert verify(IdentityId("jensen_flip", 0), rho=[[1.0, 0.2], [0.2, 1.0]], s=[0.7, 1.1]).abs_residual < 1e-8
 
 
 def test_jensen_conjugation():
