@@ -21,7 +21,7 @@ from .ode_solutions import (
 )
 from .quadrature import IntegralResult, QuadSpec
 from .theta import ThetaOperator, apply_theta_op, psi
-from .xi_core import MellinKernel, XiValue, mellin, xi, xi_sum_m, xi_tilde
+from .xi_core import XiValue, gaussian_mellin, mellin, xi, xi_sum_m, xi_tilde
 from .xi_multi import MultiXiParams, heat_residual_multi, xi_d
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "tilde_decomposition", "vop_coefficients",
     "IntegralResult", "QuadSpec",
     "ThetaOperator", "apply_theta_op", "psi",
-    "MellinKernel", "XiValue", "mellin", "xi", "xi_sum_m", "xi_tilde",
+    "XiValue", "gaussian_mellin", "mellin", "xi", "xi_sum_m", "xi_tilde",
     "MultiXiParams", "heat_residual_multi", "xi_d",
     "__version__",
 ]

@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
 from .gaussmat import RhoMatrix, closed_form_e
-from .ode_solutions import (_check_rho, _chi_segment, _iterated_segment, _q, canonical_decomposition,
-                            canonical_sinh_coeff, iterated_P, segment_weighted_mellin, tilde_decomposition,
-                            vop_coefficients)
+from .ode_solutions import (_check_rho, _chi_segment, _q, canonical_decomposition, canonical_sinh_coeff,
+                            iterated_I, iterated_P, segment_weighted_mellin, tilde_decomposition, vop_coefficients)
 from .quadrature import QuadSpec, trapezoid
 from .theta import ThetaOperator, apply_theta_op
-from .xi_core import (d_rho_xi, mellin, MellinKernel, mellin_delta4, mellin_many, telescope_rhs, xi, xi_ds,
+from .xi_core import (_TRANSFORMS, d_rho_xi, mellin, mellin_delta4, mellin_many, telescope_rhs, xi, xi_ds,
                       xi_sum_m, xi_tilde)
 from .xi_multi import jensen_xi_d, MultiXiParams, xi_d
 
@@ -39,11 +38,10 @@ class Identity:
     `inputs`, normalised and validated by `verify` before the check runs, is "scalar"
     (complex rho and s), "matrix" (a d x d RhoMatrix, d = `d` or any when None, and an
     s vector of length d), "equal_diagonal" (a 2 x 2 RhoMatrix with rho11 = rho22 and a
-    complex s) or "extras" (the named `extras` alone, each declared by its type when
-    required or by its default).  `index` names the IdentityId index, also read from
-    extras.  The check takes the inputs and spec as keywords, returns (lhs, rhs, evaluations).
-    evaluations counts Mellin transforms: one per xi, mellin or xi_d, one per argument of
-    mellin_many, one per node of a segment integral, none for the inversion laws of Psi.
+    complex s) or "extras" (the named `extras` alone, each declared by its default or,
+    when required, by a converter that also validates: a type, `_check_rho`, `_nonzero`).
+    A scalar rho passes `_check_rho`.  `index` names the IdentityId index, also read from
+    extras.  The check takes the inputs and spec as keywords and returns (lhs, rhs).
     """
 
     check: Callable
@@ -174,14 +172,14 @@ def _flip_difference(rho: RhoMatrix, s, spec) -> complex:
 
 def _verify_telescope(rho, s, m, spec):
     lhs = xi_sum_m(rho, s, m, spec).value - xi_sum_m(rho, 1 - m - s, m, spec).value
-    return lhs, telescope_rhs(rho, s, m), 2 * (m + 1)
+    return lhs, telescope_rhs(rho, s, m)
 
 
 def _verify_sk_flip(rho, s, k, spec):
     s_flip = s.copy()
     s_flip[k] = 1 - s_flip[k]
     rhs = _xi(rho.flip_k(k), s_flip, spec) + _flip_bracket(rho, k, s, spec)
-    return _xi(rho, s, spec), rhs, 2 if rho.d == 1 else 4
+    return _xi(rho, s, spec), rhs
 
 
 def _fun1_closed(rho, s1, s2) -> complex:
@@ -196,32 +194,24 @@ def _verify_fun1(rho, s, spec):
     closed = _fun1_closed(rho, s1, s2)
     g11 = _flip_bracket(rho.flip_k(0), 0, [s1, 1 - s2], spec)
     g22 = _flip_bracket(rho.flip_k(1), 1, [1 - s1, s2], spec)
-    return _flip_difference(rho, [s1, s2], spec), closed + g22 + g11, 6
+    return _flip_difference(rho, [s1, s2], spec), closed + g22 + g11
 
 
 def _verify_fun11(rho, s, spec):
     s1, s2 = complex(s[0]), complex(s[1])
     rhs = _flip_bracket(rho, 0, [s1, s2], spec) + _flip_bracket(rho.flip_k(1), 1, [1 - s1, s2], spec)
-    return _flip_difference(rho, [s1, s2], spec), rhs, 6
+    return _flip_difference(rho, [s1, s2], spec), rhs
 
 
 def _verify_funcor1(rho, s, spec):
     rhs = 2 * _flip_bracket(rho.flip_k(0), 0, [s, 1 - s], spec)
-    return _flip_difference(rho, [s, s], spec), rhs, 4
+    return _flip_difference(rho, [s, s], spec), rhs
 
 
 def _verify_funcor2(rho, s, spec):
-    a = rho.array()
-    det = rho.det()
-    r11, r12 = a[0, 0], a[0, 1]
-    dr = det / r11
-    lhs = (
-        np.exp(s**2 / (16 * r11)) * xi(dr, 1 - s - (r12 / r11) * s, spec).value
-        - np.exp((1 - s) ** 2 / (16 * r11)) * xi(dr, 1 - s + (r12 / r11) * (1 - s), spec).value
-        + np.exp((s - 1) ** 2 / (16 * r11)) * xi(dr, s - (r12 / r11) * (1 - s), spec).value
-        - np.exp(s**2 / (16 * r11)) * xi(dr, s + (r12 / r11) * s, spec).value
-    )
-    return lhs, 0.0, 4
+    flip = rho.flip_k(0)
+    brackets = _flip_bracket(flip, 0, [1 - s, 1 - s], spec) + _flip_bracket(flip, 0, [s, s], spec)
+    return 2 / np.sqrt(PI / rho.entries[0][0]) * brackets, 0.0
 
 
 def four_exponential_combination(gamma, rho12, s1, s2) -> complex:
@@ -250,7 +240,7 @@ def rho12_special_roots(gamma, n: int, branch: int, s2, nprime: int = 0):
 
 def _verify_rho12_roots(gamma, n, s2, branch, nprime, spec):
     rho12, s1 = rho12_special_roots(gamma, n, branch, s2, nprime)
-    return four_exponential_combination(gamma, rho12, s1, s2), 0.0, 0
+    return four_exponential_combination(gamma, rho12, s1, s2), 0.0
 
 
 def _verify_mean_value(rho, s, spec):
@@ -272,16 +262,15 @@ def _verify_mean_value(rho, s, spec):
         vals = np.exp(-asum * x**2 + (s1 - s2) / 2 * x) * inner
         return vals.sum(), np.abs(vals).max()
 
-    # one Mellin transform per outer node on the left, one on the right
     outer = trapezoid(node_sums, center - half - 1, center + half + 1, abs((s1 - s2).imag) / 2,
                       spec or QuadSpec())
     arg = (s1 * r22 + s2 * r11 - (s1 + s2) * r12) / (2 * asum)
     rhs = (
         np.sqrt(PI / asum)
         * np.exp((s1 - s2) ** 2 / (16 * asum))
-        * mellin(MellinKernel(ThetaOperator.plain(), 0, rho.det() / asum, arg), spec).value
+        * mellin(ThetaOperator.plain(), rho.det() / asum, arg, 0, spec).value
     )
-    return outer.value, rhs, outer.evaluations + 1
+    return outer.value, rhs
 
 
 _PAIR_FOR_K = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
@@ -317,7 +306,7 @@ def _verify_result3d(rho, s, spec):
         _flip_bracket(rho.flip_k(k), k, [v if i == k else 1 - v for i, v in enumerate(svec)], spec)
         for k in range(3)
     )
-    return lhs, grp_exp + grp_c + grp_red, 20
+    return lhs, grp_exp + grp_c + grp_red
 
 
 def _verify_sixterm(rho, s, spec):
@@ -333,7 +322,7 @@ def _verify_sixterm(rho, s, spec):
     )
     # report the worse of the two displayed equalities
     worse = rhs1 if abs(lhs - rhs1) >= abs(lhs - rhs2) else rhs2
-    return lhs, worse, 9
+    return lhs, worse
 
 
 def step4_matrix(rho, gamma, s) -> RhoMatrix:
@@ -349,7 +338,7 @@ def _verify_rewrite_3d_a(rho, gamma, s, spec):
     mat = step4_matrix(rho, gamma, s)
     mat.require_convergent()
     half = [0.5, 0.5, 0.5]
-    return _xi(mat, half, spec), _xi(mat.flip_k(2), half, spec), 2
+    return _xi(mat, half, spec), _xi(mat.flip_k(2), half, spec)
 
 
 def step7_matrix_and_args(rho, gamma, s):
@@ -372,7 +361,7 @@ def _verify_rewrite_3d_b(rho, gamma, s, spec):
     flip = mat.flip_k(1)
     lhs = _xi(mat, [a_hi, b_plus], spec) - _xi(mat, [a_lo, b_minus], spec)
     rhs = _xi(flip, [a_hi, b_minus], spec) - _xi(flip, [a_lo, b_plus], spec)
-    return lhs, rhs, 4
+    return lhs, rhs
 
 
 def rewrite_2d_matrix_and_args(rho, alpha, s, n: int):
@@ -391,7 +380,7 @@ def _verify_rewrite_2d(rho, alpha, s, n, spec):
     a = mat.array()
     if (alpha * s).real >= math.sqrt(a[1, 1].real * a[0, 0].real):
         raise DomainError("premise Re(alpha s) < sqrt(Re alpha Re(rho + alpha s^2)) fails")
-    return _xi(mat, [a1, a2], spec), _xi(mat.flip_k(1), [a1, b2], spec), 2
+    return _xi(mat, [a1, a2], spec), _xi(mat.flip_k(1), [a1, b2], spec)
 
 
 def _verify_mobius(rho, alpha, s, spec):
@@ -407,7 +396,7 @@ def _verify_mobius(rho, alpha, s, spec):
         c2f = (1 - sgn * u * s) / 2
         lhs += sgn * _xi(mat, [c1, c2], spec)
         rhs += sgn * _xi(flip, [c1, c2f], spec)
-    return lhs, rhs, 4
+    return lhs, rhs
 
 
 def _theta_at(op: ThetaOperator, t: float):
@@ -420,25 +409,25 @@ def _theta_at(op: ThetaOperator, t: float):
 def _verify_psi_inversion(t, spec):
     """Psi(t) = t^(-1/2) Psi(1/t) + (t^(-1/2) - 1)/2."""
     at, inv, r = _theta_at(ThetaOperator.plain(), t)
-    return at, r * inv + (r - 1.0) / 2.0, 0
+    return at, r * inv + (r - 1.0) / 2.0
 
 
 def _verify_h4_inversion(t, spec):
     """(H4 Psi)(t) = -t^(-1/2) (H4 Psi)(1/t) - (t^(-1/2) + 1)/2."""
     at, inv, r = _theta_at(ThetaOperator.h(4.0), t)
-    return at, -r * inv - (r + 1.0) / 2.0, 0
+    return at, -r * inv - (r + 1.0) / 2.0
 
 
 def _verify_delta4_inversion(t, spec):
     """(D4 Psi)(t) = t^(-1/2) (D4 Psi)(1/t)."""
     at, inv, r = _theta_at(ThetaOperator.delta4(), t)
-    return at, r * inv, 0
+    return at, r * inv
 
 
 def _verify_delta_inversion(t, alpha, spec):
     """(Da Psi)(t) = t^(-1/2) [(Da Psi)(1/t) + a(a-4)/4 ((H4 Psi)(1/t) + 1/2)]."""
     at, inv, r = _theta_at(ThetaOperator.delta(alpha), t)
-    return at, r * (inv + alpha * (alpha - 4.0) / 4.0 * (apply_theta_op(ThetaOperator.h(4.0), 1.0 / t) + 0.5)), 0
+    return at, r * (inv + alpha * (alpha - 4.0) / 4.0 * (apply_theta_op(ThetaOperator.h(4.0), 1.0 / t) + 0.5))
 
 
 def _delta4_lower_terms(rho: complex, s: complex, spec) -> complex:
@@ -453,25 +442,25 @@ def _delta4_lower_terms(rho: complex, s: complex, spec) -> complex:
 
 def _verify_delta4_identity(rho, s, spec):
     """M[(Delta_4 Psi) e](s/2) = (4s(s-1) - 32 rho) Xi + 32 rho (1-2s) Xi' + (16 rho)^2 Xi''."""
-    return _delta4_lower_terms(rho, s, spec), (16 * rho) ** 2 * xi_ds(rho, s, 2, spec).value, 4
+    return _delta4_lower_terms(rho, s, spec), (16 * rho) ** 2 * xi_ds(rho, s, 2, spec).value
 
 
 def _verify_heat(rho, s, spec):
     """d_rho Xi = -4 d^2_s Xi: the ln^2 log moment against d^2_s Xi from the Delta_4 identification."""
-    return d_rho_xi(rho, s, spec).value, -(4 * _delta4_lower_terms(rho, s, spec) / (16 * rho) ** 2), 4
+    return d_rho_xi(rho, s, spec).value, -(4 * _delta4_lower_terms(rho, s, spec) / (16 * rho) ** 2)
 
 
 def _verify_tilde_moment(rho, s, spec):
     """Xi~_rho(s) = (1 - 2s) Xi_rho(s) + 16 rho d_s Xi_rho(s): the H_4 kernel against two moments."""
     rhs = (1 - 2 * s) * xi(rho, s, spec).value + 16 * rho * xi_ds(rho, s, 1, spec).value
-    return xi_tilde(rho, s, spec).value, rhs, 3
+    return xi_tilde(rho, s, spec).value, rhs
 
 
 def _verify_jensen_flip(rho, s, k, spec):
     """xi(rho, s) = xi(flip_k rho, s_k -> 1 - s_k) for the Jensen kernel: Delta_4 Psi has no boundary term."""
     s_flip = s.copy()
     s_flip[k] = 1 - s_flip[k]
-    return jensen_xi_d(rho, s, spec).value, jensen_xi_d(rho.flip_k(k), s_flip, spec).value, 2
+    return jensen_xi_d(rho, s, spec).value, jensen_xi_d(rho.flip_k(k), s_flip, spec).value
 
 
 def _w(rho, alpha, s, spec) -> complex:
@@ -481,24 +470,17 @@ def _w(rho, alpha, s, spec) -> complex:
 
 def _h_segment(rho, alpha, z, s, spec):
     """int_z^s e^{q(t)} M[(H_alpha Psi) e](t/2) dt, the first-order law's integral."""
-    return segment_weighted_mellin(ThetaOperator.h(alpha), rho, z, s, lambda t: np.exp(_q(rho, alpha, t)), spec)
+    return segment_weighted_mellin(ThetaOperator.h(alpha), rho, z, s, lambda t: np.exp(_q(rho, alpha, t)), spec).value
 
 
 def _verify_fde1(rho, alpha, z, s, spec):
     """4 alpha rho (W(s) - W(z)) = int_z^s e^q M[(H_alpha Psi) e](t/2) dt."""
-    rho = _check_rho(rho)
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    seg = _h_segment(rho, alpha, z, s, spec)
-    return _w(rho, alpha, s, spec), _w(rho, alpha, z, spec) + seg.value / (4 * alpha * rho), seg.evaluations + 2
+    return _w(rho, alpha, s, spec), _w(rho, alpha, z, spec) + _h_segment(rho, alpha, z, s, spec) / (4 * alpha * rho)
 
 
 def _verify_fde1_reflected(rho, alpha, z, s, spec):
     """fde1 with its integral reflected onto 1-z .. 1-s at the operator index alpha/(alpha/2 - 1),
     plus a closed boundary term; alpha = 2 degenerates the index."""
-    rho = _check_rho(rho)
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
     if alpha == 2:
         raise DegenerateParameterError("alpha = 2 degenerates the reflected operator index")
     alpha_t = alpha / (alpha / 2 - 1)
@@ -506,58 +488,51 @@ def _verify_fde1_reflected(rho, alpha, z, s, spec):
         cmath.exp((1 - (4 / alpha) * (alpha / 2 - 1) * x) / (16 * rho)) - cmath.exp((4 / alpha) * x / (16 * rho)))
     seg = _h_segment(rho, alpha_t, 1 - z, 1 - s, spec)
     rhs = (_w(rho, alpha, z, spec) + boundary(s) - boundary(z)
-           + cmath.exp((4 / alpha - 1) / (16 * rho)) * (alpha / 2 - 1) / (4 * alpha * rho) * seg.value)
-    return _w(rho, alpha, s, spec), rhs, seg.evaluations + 2
+           + cmath.exp((4 / alpha - 1) / (16 * rho)) * (alpha / 2 - 1) / (4 * alpha * rho) * seg)
+    return _w(rho, alpha, s, spec), rhs
 
 
 def _verify_halpha_vanishing(rho, alpha, z, z_prime, spec):
     """int_z^{z'} e^q M[(H_alpha Psi) e](t/2) dt = 0 where W(z) = W(z')."""
-    seg = _h_segment(_check_rho(rho), alpha, z, z_prime, spec)
-    return seg.value, 0.0, seg.evaluations
+    return _h_segment(rho, alpha, z, z_prime, spec), 0.0
 
 
 def _verify_second_order(rho, alpha, s, spec):
     """((4 alpha rho)^2 d^2/ds^2 - id) W = e^q M[(Delta_alpha Psi) e](s/2), with e^q cancelled
     and the derivatives expanded analytically onto log-moment kernels."""
-    rho = _check_rho(rho)
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
     c = 4 * alpha * rho
     qp = (-2 * s + 4 / alpha) / (16 * rho)
     qpp = -1 / (8 * rho)
     xi0 = xi(rho, s, spec).value
-    m1 = mellin(MellinKernel(ThetaOperator.plain(), 1, rho, s / 2), spec).value / 2
-    m2 = mellin(MellinKernel(ThetaOperator.plain(), 2, rho, s / 2), spec).value / 4
+    m1 = mellin(ThetaOperator.plain(), rho, s / 2, 1, spec).value / 2
+    m2 = mellin(ThetaOperator.plain(), rho, s / 2, 2, spec).value / 4
     lhs = (c * c * (qpp + qp * qp) - 1) * xi0 + 2 * c * c * qp * m1 + c * c * m2
-    return lhs, mellin(MellinKernel(ThetaOperator.delta(alpha), 0, rho, s / 2), spec).value, 4
+    return lhs, mellin(ThetaOperator.delta(alpha), rho, s / 2, 0, spec).value
 
 
 def _verify_vop_reconstruction(rho, alpha, beta, z, s, spec):
     """A sinh((b1-s)/c) + B cosh((b2-s)/c) + (1/c) int_z^s sinh((s-t)/c) e^q M[(Delta_alpha Psi) e](t/2) dt
     = W(s), c = 4 alpha rho, with A, B the variation-of-parameters coefficients at z."""
-    rho = _check_rho(rho)
     c = 4 * alpha * rho
     co = vop_coefficients(rho, alpha, beta, z, spec)
     seg = segment_weighted_mellin(ThetaOperator.delta(alpha), rho, z, s,
                                   lambda t: np.sinh((s - t) / c) * np.exp(_q(rho, alpha, t)), spec)
     total = co.A * cmath.sinh((co.beta[0] - s) / c) + co.B * cmath.cosh((co.beta[1] - s) / c) + seg.value / c
-    return total, _w(rho, alpha, s, spec), seg.evaluations + 3
+    return total, _w(rho, alpha, s, spec)
 
 
 def _verify_vop_constraint(rho, beta, spec):
     """A (e^{(b1-1)/16rho} + e^{-b1/16rho}) + B (e^{(b2-1)/16rho} - e^{-b2/16rho}) = sqrt(pi/rho) at
     alpha = 4, z = 1/2: the telescope identity closing the coefficients."""
-    rho = _check_rho(rho)
     co = vop_coefficients(rho, 4.0, beta, 0.5, spec)
     b1, b2 = co.beta
     lhs = (co.A * (cmath.exp((b1 - 1) / (16 * rho)) + cmath.exp(-b1 / (16 * rho)))
            + co.B * (cmath.exp((b2 - 1) / (16 * rho)) - cmath.exp(-b2 / (16 * rho))))
-    return lhs, cmath.sqrt(PI / rho), 2
+    return lhs, cmath.sqrt(PI / rho)
 
 
 def _verify_chi_transform(rho, phi, alpha, s, z, spec):
     """The reflection law of chi sending (phi, s, z) to (2 - phi, 1 - s, 1 - z)."""
-    rho = _check_rho(rho)
     lhs = _chi_segment(ThetaOperator.delta(alpha), rho, phi, s, z, spec)
     main = _chi_segment(ThetaOperator.delta(alpha), rho, 2 - phi, 1 - s, 1 - z, spec)
     h4_int = _chi_segment(ThetaOperator.h(4.0), rho, 2 - phi, 1 - s, 1 - z, spec)
@@ -567,38 +542,43 @@ def _verify_chi_transform(rho, phi, alpha, s, z, spec):
         bracket = (16 * rho / (2 - phi)) * (
             cmath.exp((2 - phi) * (1 - s) / (16 * rho)) - cmath.exp((2 - phi) * (1 - z) / (16 * rho)))
     rhs = -cmath.exp((phi - 1) / (16 * rho)) * (
-        main.value + (alpha * (alpha - 4) / 4) * (h4_int.value + cmath.sqrt(PI / rho) / 2 * bracket))
-    return lhs.value, rhs, lhs.evaluations + main.evaluations + h4_int.evaluations
+        main + (alpha * (alpha - 4) / 4) * (h4_int + cmath.sqrt(PI / rho) / 2 * bracket))
+    return lhs, rhs
 
 
 def _verify_canonical(rho, s, spec):
     """W(s) at alpha = 4 from its canonical sinh/cosh/Delta_4-integral decomposition."""
     dec = canonical_decomposition(rho, s, spec)
-    return dec.total, _w(rho, 4.0, s, spec), dec.evaluations + 1
+    return dec.total, _w(rho, 4.0, s, spec)
 
 
 def _verify_tilde(rho, s, spec):
     """e^q Xi~_rho(s) at alpha = 4 from the tilde decomposition (cosh kernel)."""
     dec = tilde_decomposition(rho, s, spec)
-    return dec.total, cmath.exp(_q(rho, 4.0, s)) * xi_tilde(rho, s, spec).value, dec.evaluations + 1
+    return dec.total, cmath.exp(_q(rho, 4.0, s)) * xi_tilde(rho, s, spec).value
 
 
 def _verify_iterated_expansion(rho, s, n, spec):
     """W(s) = sinh coeff sinh(u) + e^{1/64rho} sum_{i<n} M[(Delta_4^i Psi) e](1/4) P^i(s)/(16rho)^i
     + I^n(s)/(16rho)^n at alpha = 4, u = (1/2 - s)/16rho."""
-    rho = _check_rho(rho)
-    seg = _iterated_segment(rho, n, s, spec)
     total = canonical_sinh_coeff(rho) * cmath.sinh((0.5 - s) / (16 * rho))
     weight = cmath.exp(1 / (64 * rho))
     for i in range(n):
-        m_val = mellin(MellinKernel(ThetaOperator.delta4_power(i), 0, rho, 0.25), spec).value
+        m_val = mellin(ThetaOperator.delta4_power(i), rho, 0.25, 0, spec).value
         total += weight * m_val * iterated_P(rho, i, s) / (16 * rho) ** i
-    total += seg.value / (16 * rho) ** n
-    return _w(rho, 4.0, s, spec), total, seg.evaluations + n + 1
+    total += iterated_I(rho, n, s, spec) / (16 * rho) ** n
+    return _w(rho, 4.0, s, spec), total
+
+
+def _nonzero(alpha) -> complex:
+    alpha = complex(alpha)
+    if alpha == 0:
+        raise DomainError("alpha must be nonzero")
+    return alpha
 
 
 _REWRITE_3D = {"rho": complex, "gamma": complex, "s": complex}
-_TRANSPORT = {"rho": complex, "alpha": complex, "z": complex, "s": complex}
+_TRANSPORT = {"rho": _check_rho, "alpha": _nonzero, "z": complex, "s": complex}
 
 IDENTITIES: dict[str, Identity] = {
     "telescope": Identity(_verify_telescope, 1e-9, "scalar", index="m"),
@@ -629,14 +609,14 @@ IDENTITIES: dict[str, Identity] = {
     "fde1": Identity(_verify_fde1, 1e-8, "extras", extras=_TRANSPORT),
     "fde1_reflected": Identity(_verify_fde1_reflected, 1e-8, "extras", extras=_TRANSPORT),
     "halpha_vanishing": Identity(_verify_halpha_vanishing, 1e-8, "extras", extras={
-        "rho": complex, "alpha": complex, "z": complex, "z_prime": complex}),
+        "rho": _check_rho, "alpha": _nonzero, "z": complex, "z_prime": complex}),
     "second_order": Identity(_verify_second_order, 1e-8, "extras", extras={
-        "rho": complex, "alpha": complex, "s": complex}),
+        "rho": _check_rho, "alpha": _nonzero, "s": complex}),
     "vop_reconstruction": Identity(_verify_vop_reconstruction, 1e-8, "extras", extras={
-        "rho": complex, "alpha": complex, "beta": tuple, "z": complex, "s": complex}),
-    "vop_constraint": Identity(_verify_vop_constraint, 1e-9, "extras", extras={"rho": complex, "beta": tuple}),
+        "rho": _check_rho, "alpha": _nonzero, "beta": tuple, "z": complex, "s": complex}),
+    "vop_constraint": Identity(_verify_vop_constraint, 1e-9, "extras", extras={"rho": _check_rho, "beta": tuple}),
     "chi_transform": Identity(_verify_chi_transform, 1e-7, "extras", extras={
-        "rho": complex, "phi": complex, "alpha": complex, "s": complex, "z": complex}),
+        "rho": _check_rho, "phi": complex, "alpha": complex, "s": complex, "z": complex}),
     "canonical": Identity(_verify_canonical, 1e-9, "scalar"),
     "tilde": Identity(_verify_tilde, 1e-8, "scalar"),
     "iterated_expansion": Identity(_verify_iterated_expansion, 1e-7, "scalar", index="n"),
@@ -653,14 +633,14 @@ def _inputs(ident: IdentityId, entry: Identity, rho, s, extras: dict) -> dict:
         raise DomainError(f"{kind} takes no extras {sorted(unknown)}")
     if entry.inputs == "extras":
         for name, decl in entry.extras.items():
-            if isinstance(decl, type) and name not in extras:
+            if callable(decl) and name not in extras:
                 raise DomainError(f"{kind} needs the extra {name!r}")
-            out[name] = (decl if isinstance(decl, type) else type(decl))(extras.get(name, decl))
+            out[name] = (decl if callable(decl) else type(decl))(extras.get(name, decl))
         return out
     if rho is None or s is None:
         raise DomainError(f"{kind} needs rho and s")
     if entry.inputs == "scalar":
-        return {"rho": complex(rho), "s": complex(s), **out}
+        return {"rho": _check_rho(rho), "s": complex(s), **out}
     rho = _as_rho(rho)
     d = 2 if entry.inputs == "equal_diagonal" else entry.d
     if d is not None and rho.d != d:
@@ -683,6 +663,8 @@ def _json(value):
     """An input as JSON numbers: complex as [re, im], vectors and matrices as lists."""
     if isinstance(value, (int, float)):
         return value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
     z = np.asarray(value.array() if isinstance(value, RhoMatrix) else value, dtype=complex)
     return np.stack([z.real, z.imag], axis=-1).tolist()
 
@@ -691,21 +673,30 @@ def verify(identity, rho=None, s=None, extras=None, tol=None, spec=None) -> Veri
     """Evaluate both sides of a named identity and build the report.
 
     The inputs are checked against the identity's `IDENTITIES` entry (DomainError on
-    a wrong shape); the report's params hold them normalised, as JSON numbers.
+    a wrong shape); the report's params hold them normalised, as JSON numbers, and its
+    id names the index the check ran with.  `evaluations` is the count of Mellin
+    transforms that `xi_core` made while the check ran.
     """
     ident = identity if isinstance(identity, IdentityId) else IdentityId(identity)
     entry = IDENTITIES[ident.kind]
     inputs = _inputs(ident, entry, rho, s, dict(extras or {}))
-    lhs, rhs, evals = entry.check(**inputs, spec=spec)
+    if entry.index:
+        ident = IdentityId(ident.kind, inputs[entry.index])
+    tally = [0]
+    token = _TRANSFORMS.set(tally)
+    try:
+        lhs, rhs = entry.check(**inputs, spec=spec)
+    finally:
+        _TRANSFORMS.reset(token)
     params = {name: _json(value) for name, value in inputs.items()}
-    return _report(ident, params, lhs, rhs, entry.tol if tol is None else tol, evals)
+    return _report(ident, params, lhs, rhs, entry.tol if tol is None else tol, tally[0])
 
 
 # ---------------------------------------------------------------------------
 # closed-form root families
 
 
-def candidate_zeros(family: str, rho, k_range, m: int = 0, rho_mat=None, branch: int = 1):
+def candidate_zeros(family: str, rho, k_range, m: int = 0, branch: int = 1):
     """Closed-form roots: telescope / tilde ladders, funcor1 / funcor2 log-branches."""
     ks = list(k_range)
     if family == "telescope":
@@ -715,7 +706,7 @@ def candidate_zeros(family: str, rho, k_range, m: int = 0, rho_mat=None, branch:
         rho = complex(rho)
         return [(1 - m) / 2 + 16 * rho * PI * 1j * (-0.5 + k / (1 + m)) for k in ks]
     if family in ("funcor1", "funcor2"):
-        a = _as_rho(rho_mat if rho_mat is not None else rho).array()
+        a = _as_rho(rho).array()
         r11, r12 = a[0, 0], a[0, 1]
         det = r11 * r11 - r12 * r12
         sign = -1.0 if family == "funcor1" else 1.0

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegenerateParameterError, DomainError
 from .quadrature import IntegralResult, QuadSpec, clenshaw_curtis
 from .theta import ThetaOperator
-from .xi_core import mellin, MellinKernel, mellin_many, xi
+from .xi_core import mellin, mellin_many, xi
 
 PI = math.pi
 
@@ -58,7 +58,6 @@ class DecompositionResult:
     integral_part: complex
     total: complex
     quad_error: float
-    evaluations: int  # Mellin transforms made
 
 
 def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec | None = None) -> IntegralResult:
@@ -67,8 +66,8 @@ def segment_weighted_mellin(op: ThetaOperator, rho, z, s, weight, spec: QuadSpec
     weight is a vectorized callable of the contour points; it may return a stacked
     (k, N) array, giving k integrals (and k errors) over one set of Mellin values.
     The nested Clenshaw-Curtis rule evaluates each level's new points in one mellin_many
-    call (`evaluations` counts them); the error is its last doubling's difference plus the
-    rounding floor plus the Mellin bound weighted by |weight|.
+    call; the error is its last doubling's difference plus the rounding floor plus the
+    Mellin bound weighted by |weight|.
     """
     z, s = complex(z), complex(s)
     if z == s:
@@ -106,21 +105,21 @@ def vop_coefficients(rho, alpha, beta, z, spec: QuadSpec | None = None) -> VopCo
     if abs(den) < 1e-12:
         raise DegenerateParameterError("cosh((beta2 - beta1)/4 alpha rho) vanishes")
     m_psi = xi(rho, z, spec).value
-    m_h = mellin(MellinKernel(ThetaOperator.h(alpha), 0, rho, z / 2), spec).value
+    m_h = mellin(ThetaOperator.h(alpha), rho, z / 2, 0, spec).value
     pref = cmath.exp(_q(rho, alpha, z)) / den
     A = pref * (cmath.sinh((b2 - z) / c) * (-m_psi) - cmath.cosh((b2 - z) / c) * m_h)
     B = pref * (cmath.cosh((b1 - z) / c) * m_psi + cmath.sinh((b1 - z) / c) * m_h)
     return VopCoefficients(A, B, (b1, b2), alpha, z, rho)
 
 
-def _chi_segment(op: ThetaOperator, rho: complex, phi: complex, s, z, spec) -> IntegralResult:
+def _chi_segment(op: ThetaOperator, rho: complex, phi: complex, s, z, spec) -> complex:
     """int_z^s e^{(-t^2 + phi t)/16rho} M[(op Psi) e](t/2) dt: chi's integral for any operator."""
-    return segment_weighted_mellin(op, rho, z, s, lambda t: np.exp((-(t * t) + phi * t) / (16 * rho)), spec)
+    return segment_weighted_mellin(op, rho, z, s, lambda t: np.exp((-(t * t) + phi * t) / (16 * rho)), spec).value
 
 
 def chi(rho, phi, alpha, s, z, spec: QuadSpec | None = None) -> complex:
     """chi_rho(phi, alpha, s, z) = int_z^s e^{(-t^2 + phi t)/16rho} M[(Delta_alpha Psi) e](t/2) dt."""
-    return _chi_segment(ThetaOperator.delta(complex(alpha)), _check_rho(rho), complex(phi), s, z, spec).value
+    return _chi_segment(ThetaOperator.delta(complex(alpha)), _check_rho(rho), complex(phi), s, z, spec)
 
 
 def canonical_sinh_coeff(rho) -> complex:
@@ -129,8 +128,7 @@ def canonical_sinh_coeff(rho) -> complex:
 
 def _decomposition(rho, s, kernel, sinh_c, cosh_c, spec) -> DecompositionResult:
     """sinh_c sinh(u) + cosh_c cosh(u) + (1/16rho) int_{1/2}^s kernel((s-t)/16rho) e^{q(t)}
-    M[(D4 Psi) e](t/2) dt, u = (1/2-s)/16rho, kernel np.sinh or np.cosh.  Each caller's
-    coefficients hold one Xi_rho(1/2), counted in `evaluations` with the segment's nodes."""
+    M[(D4 Psi) e](t/2) dt, u = (1/2-s)/16rho, kernel np.sinh or np.cosh."""
     arg = (0.5 - s) / (16 * rho)
     res = segment_weighted_mellin(
         ThetaOperator.delta4(), rho, 0.5, s,
@@ -138,8 +136,7 @@ def _decomposition(rho, s, kernel, sinh_c, cosh_c, spec) -> DecompositionResult:
     )
     integral_part = res.value / (16 * rho)
     total = sinh_c * cmath.sinh(arg) + cosh_c * cmath.cosh(arg) + integral_part
-    return DecompositionResult(sinh_c, cosh_c, integral_part, total, abs(res.error_estimate) / abs(16 * rho),
-                               res.evaluations + 1)
+    return DecompositionResult(sinh_c, cosh_c, integral_part, total, abs(res.error_estimate) / abs(16 * rho))
 
 
 def canonical_decomposition(rho, s, spec: QuadSpec | None = None) -> DecompositionResult:
@@ -216,11 +213,6 @@ def iterated_I(rho, n: int, s, spec: QuadSpec | None = None) -> complex:
     """I^n: n nested sinh kernels ending in e^{q(t)} M[(Delta_4^n Psi) e](t/2), integrated in exchanged
     order as int_{1/2}^s K_n(s-t) e^{q(t)} M[...](t/2) dt with the closed-form sinh-convolution kernel
     K_n (a series near t = s): one segment pass for every n."""
-    return _iterated_segment(rho, n, s, spec).value
-
-
-def _iterated_segment(rho, n: int, s, spec) -> IntegralResult:
-    """iterated_I's segment integral, with the node count the iterated_expansion identity reports."""
     rho = _check_rho(rho)
     s = complex(s)
     if n < 1 or n > 3:
@@ -228,7 +220,7 @@ def _iterated_segment(rho, n: int, s, spec) -> IntegralResult:
     return segment_weighted_mellin(
         ThetaOperator.delta4_power(n), rho, 0.5, s,
         lambda t: _sinh_power_kernel(n, s - t, 16 * rho) * np.exp(_q(rho, 4.0, t)), spec,
-    )
+    ).value
 
 
 def _verify_alias(kind: str, *names):

@@ -25,10 +25,10 @@ from .errors import DomainError, NonConvergenceError
 # relative rounding of a double-precision sum, applied to its largest term
 _ROUNDING = 1e-16
 # node budget of the trapezoid rule at d = 1, 2, 3 when QuadSpec.max_nodes is unset.
-# At d >= 2 it is one halving past the largest grids the test suite and the benchmark
-# converge on (0.2M nodes at d = 2, 1.2M at d = 3), which also admits the 6.7M nodes
-# of a Re rho with eigenvalue 0.03.
-_MAX_NODES = {1: 60000, 2: 10**6, 3: 10**7}
+# At d >= 2 it admits the grids of a nearly singular Re rho (1.3M nodes at d = 2 for a
+# smallest eigenvalue of 0.01, 6.7M at d = 3 for one of 0.03); the other grids the
+# tests and the benchmark converge on stay below 0.2M and 1.2M nodes.
+_MAX_NODES = {1: 60000, 2: 10**7, 3: 10**7}
 # intervals of the first and of the last Clenshaw-Curtis level on an s-segment
 _CC_START, _CC_MAX_INTERVALS = 32, 4096
 

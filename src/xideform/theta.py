@@ -185,7 +185,7 @@ def _op_polys(op: ThetaOperator):
     return up, refl, (op.at(-0.5) / 2.0, -op.at(0.0) / 2.0)
 
 
-def theta_values(op: ThetaOperator, t, eps: float = DEFAULT_EPS) -> np.ndarray:
+def theta_values(op: ThetaOperator, t) -> np.ndarray:
     """(op Psi)(t) for an array of positive t, with small-t inversion."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
@@ -194,11 +194,11 @@ def theta_values(op: ThetaOperator, t, eps: float = DEFAULT_EPS) -> np.ndarray:
     up, refl, (c1, c2) = _op_polys(op)
     big = t >= SMALL_T
     if big.any():
-        out[big] = _series(up, t[big], eps)
+        out[big] = _series(up, t[big], DEFAULT_EPS)
     if (~big).any():
         ts = t[~big]
         inv_sqrt = 1.0 / np.sqrt(ts)
-        out[~big] = inv_sqrt * _series(refl, 1.0 / ts, eps) + c1 * inv_sqrt + c2
+        out[~big] = inv_sqrt * _series(refl, 1.0 / ts, DEFAULT_EPS) + c1 * inv_sqrt + c2
     return out
 
 
@@ -212,8 +212,8 @@ _DERIV_DPOLY = {
 }
 
 
-def psi(t, deriv_order: int = 0, eps: float = DEFAULT_EPS):
-    """d^k/dt^k Psi(t) = sum_n (-pi n^2)^k e^{-pi n^2 t}, truncated below eps.
+def psi(t, deriv_order: int = 0):
+    """d^k/dt^k Psi(t) = sum_n (-pi n^2)^k e^{-pi n^2 t}, truncated below DEFAULT_EPS.
 
     Supports 0 <= deriv_order <= 3; higher derivatives are only reachable through
     the composed operators (delta4_power), which never need them individually.
@@ -223,12 +223,12 @@ def psi(t, deriv_order: int = 0, eps: float = DEFAULT_EPS):
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     op = ThetaOperator("deriv", _DERIV_DPOLY[deriv_order])
-    vals = theta_values(op, t_arr, eps).real / t_arr**deriv_order
+    vals = theta_values(op, t_arr).real / t_arr**deriv_order
     return float(vals[0]) if scalar else vals
 
 
-def apply_theta_op(op: ThetaOperator, t, eps: float = DEFAULT_EPS):
+def apply_theta_op(op: ThetaOperator, t):
     """(op Psi)(t); termwise on the series with the shared certified truncation."""
     scalar = np.isscalar(t)
-    vals = theta_values(op, t, eps)
+    vals = theta_values(op, t)
     return complex(vals[0]) if scalar else vals

@@ -5,14 +5,16 @@ log axis x = ln t, where it becomes a Gaussian-weighted integral.  One function,
 `node_data`, builds that integrand, (op Psi)(e^x) x^m e^{-rho x^2} = V e^E with the
 theta sum's left-tail growth carried by E; `mellin_many` (one engine for every theta
 kernel: `mellin` is its one-argument form) and `xi_multi.xi_d` add their linear
-exponents to E.  s-derivatives are exact log-moment kernels (each d/ds inserts x/2),
-never finite differences.
+exponents to E, and both count the transforms they make in `_TRANSFORMS`.
+s-derivatives are exact log-moment kernels (each d/ds inserts x/2), never finite
+differences.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +32,10 @@ _EXP_LIMIT = 705.0
 _CANCEL_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class MellinKernel:
-    """Integrand spec for M[(op Psi) * ln^m * exp(-rho ln^2)](argument).
-
-    theta_op None means a pure exp kernel (no theta factor).
-    """
-
-    theta_op: ThetaOperator | None
-    log_power: int
-    gaussian_coeff: complex
-    argument: complex
-
-    def __post_init__(self):
-        if complex(self.gaussian_coeff).real <= 0:
-            raise DomainError("Re(gaussian_coeff) must be positive")
-        if self.log_power < 0:
-            raise DomainError("log_power must be >= 0")
+# Mellin transforms made in this context: a one-element list that `mellin_many` adds its
+# argument count to and `xi_multi.xi_d` one, set by a caller that reads the count
+# (`funceq.verify`); None, the default, counts nothing.
+_TRANSFORMS: ContextVar[list | None] = ContextVar("transforms", default=None)
 
 
 @dataclass(frozen=True)
@@ -56,6 +45,12 @@ class XiValue:
 
     def __complex__(self):
         return complex(self.value)
+
+
+def _count_transforms(n: int):
+    tally = _TRANSFORMS.get()
+    if tally is not None:
+        tally[0] += n
 
 
 def _check_range(top: float) -> float:
@@ -158,20 +153,17 @@ def _warn_cancellation(mass, value, spec: QuadSpec):
         )
 
 
-def mellin(kernel: MellinKernel, spec: QuadSpec | None = None) -> XiValue:
-    """Evaluate the kernel's Mellin transform by the log-axis trapezoid rule.
+def gaussian_mellin(rho, a, m: int = 0, spec: QuadSpec | None = None) -> XiValue:
+    """M[ln^m exp(-rho ln^2)](a), the pure-exp kernel, by the log-axis trapezoid rule.
 
-    A theta kernel is a one-argument `mellin_many`.  Pure-exp kernels are entire, so
-    their path is shifted through the Gaussian saddle Im(a/2rho); this removes the
-    e^{i Im(a) x} cancellation and keeps the result accurate relative to its own
-    (possibly tiny) scale.
+    The kernel is entire, so the path is shifted through the Gaussian saddle
+    Im(a/2rho); this removes the e^{i Im(a) x} cancellation and keeps the result
+    accurate relative to its own (possibly tiny) scale.
     """
     spec = spec or QuadSpec()
-    op, m = kernel.theta_op, kernel.log_power
-    a, rho = complex(kernel.argument), complex(kernel.gaussian_coeff)
-    if op is not None:
-        values, err = mellin_many(op, rho, a, m, spec)
-        return XiValue(complex(values[0]), err)
+    rho, a = complex(rho), complex(a)
+    if rho.real <= 0 or m < 0:
+        raise DomainError("gaussian_mellin needs Re(rho) > 0 and m >= 0")
     z = 1j * (a / (2 * rho)).imag
 
     def node_sums(x):
@@ -181,6 +173,12 @@ def mellin(kernel: MellinKernel, spec: QuadSpec | None = None) -> XiValue:
     res = trapezoid(node_sums, *_window(None, a - 2 * rho * z, rho, spec), spec)
     _warn_cancellation(res.peak_mass, res.value, spec)
     return XiValue(complex(res.value), float(res.error_estimate))
+
+
+def mellin(op: ThetaOperator, rho, a, m: int = 0, spec: QuadSpec | None = None) -> XiValue:
+    """M[(op Psi) ln^m exp(-rho ln^2)](a): `mellin_many` at one argument."""
+    values, err = mellin_many(op, rho, a, m, spec)
+    return XiValue(complex(values[0]), err)
 
 
 def mellin_many(op: ThetaOperator, rho, args, m: int = 0,
@@ -196,9 +194,12 @@ def mellin_many(op: ThetaOperator, rho, args, m: int = 0,
     PrecisionWarning.  Returns (values, error bound), the bound being the largest
     per-argument estimate.
     """
+    if m < 0:
+        raise DomainError("m must be >= 0")
     spec = spec or QuadSpec()
     rho = complex(rho)
     args = np.atleast_1d(np.asarray(args, dtype=complex))
+    _count_transforms(args.size)
 
     def node_sums(x):
         V, E = node_data(op, x, rho, m)
@@ -218,18 +219,18 @@ def mellin_many(op: ThetaOperator, rho, args, m: int = 0,
 
 def xi(rho, s, spec: QuadSpec | None = None) -> XiValue:
     """Xi_rho(s) = M[Psi exp(-rho ln^2)](s/2)."""
-    return mellin(MellinKernel(ThetaOperator.plain(), 0, complex(rho), complex(s) / 2), spec)
+    return mellin(ThetaOperator.plain(), rho, complex(s) / 2, 0, spec)
 
 
 def xi_ds(rho, s, order: int = 1, spec: QuadSpec | None = None) -> XiValue:
     """d^order/ds^order Xi_rho(s), exact log-moment kernel (factor (x/2)^order)."""
-    base = mellin(MellinKernel(ThetaOperator.plain(), order, complex(rho), complex(s) / 2), spec)
+    base = mellin(ThetaOperator.plain(), rho, complex(s) / 2, order, spec)
     return XiValue(base.value / 2**order, base.quad_error / 2**order)
 
 
 def xi_tilde(rho, s, spec: QuadSpec | None = None) -> XiValue:
     """Xi~_rho(s) = M[(H_4 Psi) exp(-rho ln^2)](s/2) (direct operator kernel)."""
-    return mellin(MellinKernel(ThetaOperator.h(4.0), 0, complex(rho), complex(s) / 2), spec)
+    return mellin(ThetaOperator.h(4.0), rho, complex(s) / 2, 0, spec)
 
 
 def xi_sum_m(rho, s, m: int, spec: QuadSpec | None = None) -> XiValue:
@@ -257,10 +258,10 @@ def telescope_rhs(rho, s, m: int = 0) -> complex:
 
 def mellin_delta4(rho, s, spec: QuadSpec | None = None) -> XiValue:
     """M[(Delta_4 Psi) exp(-rho ln^2)](s/2)."""
-    return mellin(MellinKernel(ThetaOperator.delta4(), 0, complex(rho), complex(s) / 2), spec)
+    return mellin(ThetaOperator.delta4(), rho, complex(s) / 2, 0, spec)
 
 
 def d_rho_xi(rho, s, spec: QuadSpec | None = None) -> XiValue:
     """d/drho Xi_rho(s) = -M[Psi ln^2 exp(-rho ln^2)](s/2)."""
-    base = mellin(MellinKernel(ThetaOperator.plain(), 2, complex(rho), complex(s) / 2), spec)
+    base = mellin(ThetaOperator.plain(), rho, complex(s) / 2, 2, spec)
     return XiValue(-base.value, base.quad_error)

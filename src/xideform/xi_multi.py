@@ -21,7 +21,7 @@ from .errors import DomainError
 from .gaussmat import RhoMatrix
 from .quadrature import QuadSpec, trapezoid
 from .theta import ThetaOperator
-from .xi_core import XiValue, _check_range, _window, node_data
+from .xi_core import XiValue, _check_range, _count_transforms, _window, node_data
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
     """
     rho = params.rho
     rho.require_convergent()
+    _count_transforms(1)
     d = rho.d
     spec = spec or QuadSpec.for_dimension(d)
     a = rho.array()

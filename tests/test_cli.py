@@ -273,6 +273,7 @@ def test_verify_reaches_the_scalar_and_jensen_ids(kind, capsys):
     library = verify(kind, **case, spec=QuadSpec(abs_tol=1e-12, rel_tol=1e-10))
     assert rec["abs_residual"] == library.abs_residual
     assert rec["params"] == library.params
+    assert rec["id"] == library.id
 
 
 def test_verify_rewrite_3d_a_from_rho_gamma_s(capsys):

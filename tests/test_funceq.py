@@ -1,11 +1,12 @@
 import cmath
+import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xideform import funceq, xi_core, xi_multi
@@ -25,7 +26,8 @@ from xideform.funceq import (
     zero_scan,
 )
 from xideform.gaussmat import RhoMatrix, closed_form_e
-from xideform.xi_core import xi
+from xideform.theta import ThetaOperator
+from xideform.xi_core import mellin_many, xi
 
 PI = math.pi
 
@@ -479,10 +481,54 @@ def test_report_evaluations_count_the_xi_calls(kind, case, monkeypatch):
     assert rep.evaluations == sum(calls) > 0
 
 
+def test_reports_in_a_row_count_as_each_alone():
+    alone = [verify(kind, **REGISTRY_CASES[kind]).evaluations for kind in ("heat", "fde1")]
+    in_a_row = [verify(kind, **REGISTRY_CASES[kind]).evaluations for kind in ("heat", "fde1", "heat")]
+    assert in_a_row == alone + alone[:1]
+
+
+def test_transforms_outside_verify_are_not_counted():
+    before = verify("tilde_moment", **REGISTRY_CASES["tilde_moment"]).evaluations
+    mellin_many(ThetaOperator.plain(), 0.5, [0.3, 0.4 + 1j])
+    xi(0.5, 0.3)
+    assert verify("tilde_moment", **REGISTRY_CASES["tilde_moment"]).evaluations == before == 3
+
+
+def test_a_check_that_raises_leaves_the_next_count_right(monkeypatch):
+    def failing(rho, s, spec):
+        xi(rho, s, spec)
+        raise DomainError("stops after one transform")
+
+    monkeypatch.setitem(IDENTITIES, "heat", dataclasses.replace(IDENTITIES["heat"], check=failing))
+    with pytest.raises(DomainError):
+        verify("heat", **REGISTRY_CASES["heat"])
+    assert xi_core._TRANSFORMS.get() is None  # the failed check's count is closed
+    monkeypatch.undo()
+    assert verify("heat", **REGISTRY_CASES["heat"]).evaluations == 4
+
+
+@pytest.mark.parametrize("kind", ["fde1", "fde1_reflected", "halpha_vanishing", "second_order", "vop_reconstruction"])
+def test_zero_alpha_is_a_domain_error(kind):
+    with pytest.raises(DomainError):
+        verify(kind, extras={**REGISTRY_CASES[kind]["extras"], "alpha": 0.0})
+
+
+@pytest.mark.parametrize("kind", ["telescope", "jensen_flip", "iterated_expansion"])
+def test_report_id_names_the_index_however_it_is_given(kind):
+    case = dict(REGISTRY_CASES[kind])
+    name = IDENTITIES[kind].index
+    index = case.pop("extras")[name]
+    from_extras = verify(kind, **case, extras={name: index})
+    from_id = verify(IdentityId(kind, index), **case)
+    assert from_extras.id == from_id.id == f"{kind}({index})"
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]),
        st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=3),
        st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+# Re rho has eigenvalue 0.01 here: flip_0 rho's integral converges on 1.3M nodes
+@example(172509, (2, 0), [1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 def test_sk_flip_property(seed, axis, re_s, im_s):
     d, k = axis
     rho = sample_convergent_rho(seed, d, imag_scale=0.1)

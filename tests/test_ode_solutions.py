@@ -21,7 +21,7 @@ from xideform.ode_solutions import (
     vop_coefficients,
 )
 from xideform.theta import ThetaOperator
-from xideform.xi_core import mellin, mellin_many, MellinKernel, telescope_rhs, xi
+from xideform.xi_core import mellin, mellin_many, telescope_rhs, xi
 
 PI = math.pi
 
@@ -81,7 +81,7 @@ def test_second_order_finite_difference():
     w = lambda t: cmath.exp(q(t)) * xi(rho, t).value
     c = 4 * alpha * rho
     fd = c * c * (w(s + h) - 2 * w(s) + w(s - h)) / h**2 - w(s)
-    direct = cmath.exp(q(s)) * mellin(MellinKernel(ThetaOperator.delta(alpha), 0, rho, s / 2)).value
+    direct = cmath.exp(q(s)) * mellin(ThetaOperator.delta(alpha), rho, s / 2).value
     assert abs(fd - direct) < 1e-5 * max(1.0, abs(direct))
 
 
@@ -311,11 +311,11 @@ def test_msym_invariant():
     #   = a(a-4)/4 (M[(H4 Psi) e]((1-s)/2) + sqrt(pi/rho) e^{(s-1)^2/16rho}/2)
     rho, s = 0.8, 1.1 + 0.3j
     for alpha in (2.0, 3.0, 4.0):
-        lhs = mellin(MellinKernel(ThetaOperator.delta(alpha), 0, rho, s / 2)).value
-        rhs = mellin(MellinKernel(ThetaOperator.delta(alpha), 0, rho, (1 - s) / 2)).value + (
+        lhs = mellin(ThetaOperator.delta(alpha), rho, s / 2).value
+        rhs = mellin(ThetaOperator.delta(alpha), rho, (1 - s) / 2).value + (
             alpha * (alpha - 4) / 4
         ) * (
-            mellin(MellinKernel(ThetaOperator.h(4.0), 0, rho, (1 - s) / 2)).value
+            mellin(ThetaOperator.h(4.0), rho, (1 - s) / 2).value
             + cmath.sqrt(PI / rho) * cmath.exp((s - 1) ** 2 / (16 * rho)) / 2
         )
         assert abs(lhs - rhs) < 1e-8

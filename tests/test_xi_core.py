@@ -11,9 +11,9 @@ from xideform.funceq import verify
 from xideform.quadrature import QuadSpec
 from xideform.theta import DEFAULT_EPS, LOG_TAIL_SPLIT, ThetaOperator, theta_values
 from xideform.xi_core import (
-    MellinKernel,
     XiValue,
     d_rho_xi,
+    gaussian_mellin,
     mellin,
     mellin_delta4,
     mellin_many,
@@ -36,27 +36,35 @@ MD4_1_12 = 3.4199944037098501292  # M[(Delta4 Psi) e^{-ln^2}](0.6)
 
 
 def test_mellin_pure_exp_sqrt_pi():
-    res = mellin(MellinKernel(None, 0, 1.0, 0.0))
+    res = gaussian_mellin(1.0, 0.0)
     assert res.value.real == pytest.approx(SQRT_PI, rel=1e-12)
 
 
 def test_mellin_pure_exp_gauss_identity():
     rho, s = 0.5, 1.0 + 1.0j
-    res = mellin(MellinKernel(None, 0, rho, s))
+    res = gaussian_mellin(rho, s)
     expected = np.sqrt(np.pi / rho) * np.exp(s * s / (4 * rho))
     assert abs(res.value - expected) <= 1e-10 * abs(expected)
 
 
 def test_mellin_odd_moment_vanishes():
-    res = mellin(MellinKernel(None, 1, 0.7, 0.0))
+    res = gaussian_mellin(0.7, 0.0, 1)
     assert abs(res.value) < 1e-12
 
 
 def test_mellin_kernel_validation():
     with pytest.raises(DomainError):
-        MellinKernel(None, 0, -1.0, 0.0)
+        gaussian_mellin(-1.0, 0.0)
     with pytest.raises(DomainError):
-        MellinKernel(None, -1, 1.0, 0.0)
+        gaussian_mellin(1.0, 0.0, -1)
+
+
+@pytest.mark.parametrize("call", [lambda: mellin(ThetaOperator.plain(), 1.0, 0.5, -1),
+                                  lambda: mellin_many(ThetaOperator.plain(), 1.0, [0.5], -1)],
+                         ids=["mellin", "mellin_many"])
+def test_negative_log_power_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_xi_oracle_values():
@@ -205,7 +213,7 @@ def test_mellin_many_matches_single():
     args = np.array([0.2, 0.6 + 0.3j, 1.4 - 0.2j])
     vals, err = mellin_many(ThetaOperator.plain(), rho, args)
     for k, a in enumerate(args):
-        single = mellin(MellinKernel(ThetaOperator.plain(), 0, rho, a)).value
+        single = mellin(ThetaOperator.plain(), rho, a).value
         assert abs(vals[k] - single) < 1e-10 * max(1.0, abs(single))
     assert err < 1e-10
 

@@ -9,7 +9,7 @@ from xideform.errors import DomainError, NonConvergenceError
 from xideform.funceq import IdentityId, sample_convergent_rho, verify
 from xideform.quadrature import QuadSpec
 from xideform.theta import ThetaOperator
-from xideform.xi_core import mellin, MellinKernel, mellin_many, xi
+from xideform.xi_core import mellin, mellin_many, xi
 from xideform.xi_multi import (
     MultiXiParams,
     d_rho_ij_xi_d,
@@ -198,7 +198,7 @@ def test_mean_value_reduced_convolution():
     # M[Psi e^{-rho ln^2}](s) = int dq M[Psi e^{-gamma ln^2}](q) e^{-(q-s)^2/4(gamma-rho)}
     #                            / sqrt(4 pi (gamma - rho))        at gamma=1, rho=0.5, s=0.4
     gamma, rho, s = 1.0, 0.5, 0.4
-    direct = mellin(MellinKernel(ThetaOperator.plain(), 0, rho, s)).value
+    direct = mellin(ThetaOperator.plain(), rho, s).value
     width = math.sqrt(gamma - rho)
     q_nodes, q_w = _gauss_panels(s - 14 * width, s + 14 * width, 24, 12)
     inner, _ = mellin_many(ThetaOperator.plain(), gamma, q_nodes)
