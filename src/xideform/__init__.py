@@ -22,7 +22,7 @@ from .ode_solutions import (
 from .quadrature import IntegralResult, QuadSpec
 from .theta import ThetaOperator, apply_theta_op, psi
 from .xi_core import XiValue, gaussian_mellin, mellin, xi, xi_sum_m, xi_tilde
-from .xi_multi import MultiXiParams, heat_residual_multi, xi_d
+from .xi_multi import MultiXiParams, d_rho_ij_xi_d, heat_residual_multi, xi_d
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,6 @@ __all__ = [
     "IntegralResult", "QuadSpec",
     "ThetaOperator", "apply_theta_op", "psi",
     "XiValue", "gaussian_mellin", "mellin", "xi", "xi_sum_m", "xi_tilde",
-    "MultiXiParams", "heat_residual_multi", "xi_d",
+    "MultiXiParams", "d_rho_ij_xi_d", "heat_residual_multi", "xi_d",
     "__version__",
 ]

@@ -9,7 +9,6 @@ are generated in closed form and confirmed by quadrature.
 from __future__ import annotations
 
 import cmath
-import csv
 import hashlib
 import json
 import math
@@ -96,26 +95,6 @@ class VerificationReport:
         blob = json.dumps(self.params, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
-    def csv_row(self) -> list:
-        return [self.id, self.params_hash(), repr(self.abs_residual), repr(self.rel_residual),
-                "true" if self.passed else "false"]
-
-
-def write_reports(reports, path, fmt="json"):
-    """Serialize reports: one JSON record per line, or CSV summary rows."""
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in reports:
-                fh.write(json.dumps(r.to_dict()) + "\n")
-    elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "params_hash", "abs_residual", "rel_residual", "pass"])
-            for r in reports:
-                writer.writerow(r.csv_row())
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
-
 
 def _report(identity, params, lhs, rhs, tol, evals) -> VerificationReport:
     lhs, rhs = complex(lhs), complex(rhs)
@@ -171,8 +150,8 @@ def _flip_difference(rho: RhoMatrix, s, spec) -> complex:
 
 
 def _verify_telescope(rho, s, m, spec):
-    lhs = xi_sum_m(rho, s, m, spec).value - xi_sum_m(rho, 1 - m - s, m, spec).value
-    return lhs, telescope_rhs(rho, s, m)
+    at_s, at_mirror = xi_sum_m(rho, [s, 1 - m - s], m, spec).value
+    return at_s - at_mirror, telescope_rhs(rho, s, m)
 
 
 def _verify_sk_flip(rho, s, k, spec):

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 
-SQRT_PI = np.sqrt(np.pi)
-
 
 @dataclass(frozen=True)
 class RhoMatrix:
@@ -143,28 +141,6 @@ def closed_form_e(rho: RhoMatrix, s) -> complex:
     rho.require_convergent()
     quad = s @ rho.inverse() @ s
     return complex(np.sqrt(np.pi**rho.d / det) * np.exp(quad / 16.0))
-
-
-def quadratic_form_minors(rho: RhoMatrix, s) -> complex:
-    """d=3 numerator of s . rho^{-1} s written through the minors:
-
-    sum_k s_k^2 R_{ij(k)} - 2 sum_{i<j} s_i s_j T_{ij k(ij)},  divided by det(rho).
-    """
-    if rho.d != 3:
-        raise DomainError("minor expansion is the d=3 formula")
-    s = np.asarray(s, dtype=complex)
-    num = (
-        s[0] ** 2 * rho.minor_R(1, 2)
-        + s[1] ** 2 * rho.minor_R(0, 2)
-        + s[2] ** 2 * rho.minor_R(0, 1)
-        - 2.0
-        * (
-            s[0] * s[1] * rho.minor_T(0, 1, 2)
-            + s[0] * s[2] * rho.minor_T(0, 2, 1)
-            + s[1] * s[2] * rho.minor_T(1, 2, 0)
-        )
-    )
-    return complex(num / rho.det())
 
 
 def rescale_class(rho: RhoMatrix, s, lam):

@@ -172,12 +172,6 @@ def c_rho(rho, spec: QuadSpec | None = None) -> complex:
     return -cmath.exp(1 / (64 * rho)) * xi(rho, 0.5, spec).value
 
 
-def p_closed_form_1(rho, s) -> complex:
-    """P^1(s) = (1/2 - s) sinh((1/2 - s)/16rho) / 2."""
-    rho, s = complex(rho), complex(s)
-    return (0.5 - s) * cmath.sinh((0.5 - s) / (16 * rho)) / 2
-
-
 def _sinh_power_kernel(n: int, L, c):
     """K_n(L) = c^{n-1} k_n(L/c), the n-fold convolution of sinh(./c) with itself; k_n, the inverse
     Laplace transform of 1/(p^2-1)^n, is sinh u, (u cosh u - sinh u)/2, ((u^2+3) sinh u - 3u cosh u)/8.

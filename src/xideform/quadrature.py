@@ -25,9 +25,9 @@ from .errors import DomainError, NonConvergenceError
 # relative rounding of a double-precision sum, applied to its largest term
 _ROUNDING = 1e-16
 # node budget of the trapezoid rule at d = 1, 2, 3 when QuadSpec.max_nodes is unset.
-# At d >= 2 it admits the grids of a nearly singular Re rho (1.3M nodes at d = 2 for a
-# smallest eigenvalue of 0.01, 6.7M at d = 3 for one of 0.03); the other grids the
-# tests and the benchmark converge on stay below 0.2M and 1.2M nodes.
+# At d >= 2 it admits the grids of a nearly singular Re rho (0.19M nodes at d = 2 for a
+# smallest eigenvalue of 0.0084, 10.2M at d = 3 for one of 0.03); the benchmark's grids
+# converge on fewer than 10k and 0.61M nodes.
 _MAX_NODES = {1: 60000, 2: 10**7, 3: 10**7}
 # intervals of the first and of the last Clenshaw-Curtis level on an s-segment
 _CC_START, _CC_MAX_INTERVALS = 32, 4096

@@ -40,6 +40,8 @@ _TRANSFORMS: ContextVar[list | None] = ContextVar("transforms", default=None)
 
 @dataclass(frozen=True)
 class XiValue:
+    """value is an array for a partial sum taken over an array of points."""
+
     value: complex
     quad_error: float
 
@@ -192,7 +194,7 @@ def mellin_many(op: ThetaOperator, rho, args, m: int = 0,
     rounding floor.  Every argument meets the spec's tolerance or NonConvergenceError is
     raised, and arguments whose cancellation limits the absolute accuracy raise one
     PrecisionWarning.  Returns (values, error bound), the bound being the largest
-    per-argument estimate.
+    per-argument estimate; no arguments give (an empty array, 0.0).
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -200,6 +202,8 @@ def mellin_many(op: ThetaOperator, rho, args, m: int = 0,
     rho = complex(rho)
     args = np.atleast_1d(np.asarray(args, dtype=complex))
     _count_transforms(args.size)
+    if not args.size:
+        return np.empty(0, dtype=complex), 0.0
 
     def node_sums(x):
         V, E = node_data(op, x, rho, m)
@@ -233,21 +237,28 @@ def xi_tilde(rho, s, spec: QuadSpec | None = None) -> XiValue:
     return mellin(ThetaOperator.h(4.0), rho, complex(s) / 2, 0, spec)
 
 
-def xi_sum_m(rho, s, m: int, spec: QuadSpec | None = None) -> XiValue:
-    """Xi^m_rho(s) = sum_{l=0..m} Xi_rho(s + l)."""
+def _partial_sums(op: ThetaOperator, alternating: bool, rho, s, m: int, spec: QuadSpec | None) -> XiValue:
+    """sum_{l=0..m} (+-1)^l M[(op Psi) exp(-rho ln^2)]((s_k + l)/2) for a scalar s or each
+    s_k of an array, from one `mellin_many` call over every s_k + l; the error bound is
+    m + 1 times the call's."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    vals = [xi(rho, complex(s) + l, spec) for l in range(m + 1)]
-    return XiValue(sum(v.value for v in vals), sum(v.quad_error for v in vals))
+    s = np.asarray(s, dtype=complex)
+    shifts = np.arange(m + 1)
+    values, err = mellin_many(op, rho, (shifts[:, None] + s.reshape(-1)).reshape(-1) / 2, 0, spec)
+    signs = (-1.0) ** shifts if alternating else np.ones(m + 1)
+    sums = (signs @ values.reshape(m + 1, s.size)).reshape(s.shape)
+    return XiValue(sums if s.ndim else complex(sums), (m + 1) * err)
+
+
+def xi_sum_m(rho, s, m: int, spec: QuadSpec | None = None) -> XiValue:
+    """Xi^m_rho(s) = sum_{l=0..m} Xi_rho(s + l), at a scalar s or elementwise over an array."""
+    return _partial_sums(ThetaOperator.plain(), False, rho, s, m, spec)
 
 
 def xi_tilde_sum_m(rho, s, m: int, spec: QuadSpec | None = None) -> XiValue:
-    """Alternating sum sum_{l=0..m} (-1)^l Xi~_rho(s + l)."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    vals = [xi_tilde(rho, complex(s) + l, spec) for l in range(m + 1)]
-    return XiValue(sum((-1) ** l * v.value for l, v in enumerate(vals)),
-                   sum(v.quad_error for v in vals))
+    """Alternating sum sum_{l=0..m} (-1)^l Xi~_rho(s + l), at a scalar s or over an array."""
+    return _partial_sums(ThetaOperator.h(4.0), True, rho, s, m, spec)
 
 
 def telescope_rhs(rho, s, m: int = 0) -> complex:

@@ -64,7 +64,8 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
     K is Psi (theta variant) or Delta_4 Psi (jensen).  `powers` optionally inserts
     prod_i (ln t_i)^{p_i} for the log-moment (heat-equation) integrals.  Axis i is
     planned like a 1D integral whose Gaussian is the marginal one, 1/((Re rho)^-1)_ii,
-    and whose frequency includes the coupling's 2 |Im rho_ij| max|x_j|.
+    whose window also covers the left-tail slope that the coupling leaves on it, and
+    whose frequency includes the coupling's 2 |Im rho_ij| max|x_j|.
     """
     rho = params.rho
     rho.require_convergent()
@@ -75,8 +76,11 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
     s = np.array(params.s, dtype=complex)
     powers = tuple(powers) if powers is not None else (0,) * d
     op = _axis_operator(params.variant)
-    marginal = 1.0 / np.diag(np.linalg.inv(a.real))
-    plans = [_window(op, s[i] / 2, complex(marginal[i], a[i, i].imag), spec) for i in range(d)]
+    inverse = np.linalg.inv(a.real)
+    marginal = 1.0 / np.diag(inverse)
+    # coupled left-tail slope (R^-1 b)_i / (R^-1)_ii, R = Re rho, b_j = (Re s_j - 1)/2, plus the 1/2 _window removes
+    coupled = inverse @ ((s.real - 1) / 2) * marginal + 0.5 + 0.5j * s.imag
+    plans = [_window(op, [s[i] / 2, coupled[i]], complex(marginal[i], a[i, i].imag), spec) for i in range(d)]
     reach = [max(abs(lo), abs(hi)) for lo, hi, _ in plans]
     omega = [om + sum(2 * abs(a[i, j].imag) * reach[j] for j in range(d) if j != i)
              for i, (_, _, om) in enumerate(plans)]

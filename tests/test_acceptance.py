@@ -23,7 +23,6 @@ from xideform.ode_solutions import (
     canonical_decomposition,
     iterated_I,
     iterated_P,
-    p_closed_form_1,
     tilde_decomposition,
 )
 from xideform.xi_core import (
@@ -35,6 +34,8 @@ from xideform.xi_core import (
     xi_sum_m,
 )
 from xideform.xi_multi import MultiXiParams, d_rho_ij_xi_d, heat_residual_multi, xi_d
+
+from test_ode_solutions import p_closed_form_1
 
 PI = math.pi
 

@@ -339,6 +339,14 @@ def test_parser_is_built_once_and_reused(capsys):
     assert code == 0 and out.splitlines()[0] == "k,root_re,root_im,confirm_residual"
 
 
+@pytest.mark.parametrize("family", ["telescope", "tilde"])
+def test_zeros_count_zero_prints_only_the_header(family, capsys):
+    code, out, _ = run_cli(["--output-format", "csv", "zeros", "--rho", "0.5", "--count", "0", "--family", family],
+                           capsys)
+    assert code == 0
+    assert out == "k,root_re,root_im,confirm_residual\n"
+
+
 def test_zeros_negative_m_is_a_usage_error(capsys):
     code, out, err = run_cli(["zeros", "--rho", "0.5", "--m=-1"], capsys)
     assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xideform.errors import DomainError, SingularMatrixError
-from xideform.gaussmat import RhoMatrix, closed_form_e, quadratic_form_minors, rescale_class
+from xideform.gaussmat import RhoMatrix, closed_form_e, rescale_class
 from xideform.quadrature import QuadSpec, trapezoid
 
 SQRT_PI = math.sqrt(math.pi)
@@ -46,6 +46,21 @@ def test_closed_form_d2_explicit():
         / math.sqrt(det)
     )
     assert closed_form_e(rho, [s1, s2]) == pytest.approx(expected, rel=1e-14)
+
+
+def quadratic_form_minors(rho: RhoMatrix, s) -> complex:
+    """d=3 s . rho^{-1} s written through the minors:
+
+    (sum_k s_k^2 R_{ij(k)} - 2 sum_{i<j} s_i s_j T_{ij k(ij)}) / det(rho).
+    """
+    num = (
+        s[0] ** 2 * rho.minor_R(1, 2)
+        + s[1] ** 2 * rho.minor_R(0, 2)
+        + s[2] ** 2 * rho.minor_R(0, 1)
+        - 2.0 * (s[0] * s[1] * rho.minor_T(0, 1, 2) + s[0] * s[2] * rho.minor_T(0, 2, 1)
+                 + s[1] * s[2] * rho.minor_T(1, 2, 0))
+    )
+    return complex(num / rho.det())
 
 
 def test_d3_quadratic_form_minor_expansion():

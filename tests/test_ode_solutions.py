@@ -15,7 +15,6 @@ from xideform.ode_solutions import (
     chi,
     iterated_I,
     iterated_P,
-    p_closed_form_1,
     segment_weighted_mellin,
     tilde_decomposition,
     vop_coefficients,
@@ -229,6 +228,12 @@ def test_tilde_a_pm_form():
     k = cmath.exp(1 / (64 * rho)) * xi(rho, 0.5).value
     rebuilt = -(k + am) * cmath.sinh(arg) - (canonical_sinh_coeff(rho) - ap) * cmath.cosh(arg)
     assert abs(rebuilt - tilde_decomposition(rho, s).total) < 1e-9
+
+
+def p_closed_form_1(rho, s) -> complex:
+    """P^1(s) = (1/2 - s) sinh((1/2 - s)/16rho) / 2."""
+    rho, s = complex(rho), complex(s)
+    return (0.5 - s) * cmath.sinh((0.5 - s) / (16 * rho)) / 2
 
 
 def test_p1_closed_form():

@@ -108,6 +108,32 @@ def test_sum_m_single_term():
     assert v.value == pytest.approx(xi(0.7, 1.2).value)
 
 
+@pytest.mark.parametrize("partial_sum, single, sign", [(xi_sum_m, xi, 1.0), (xi_tilde_sum_m, xi_tilde, -1.0)])
+def test_partial_sums_over_an_array_are_one_batched_call(partial_sum, single, sign, monkeypatch):
+    rho, m = 0.5, 2
+    s = np.array([0.3, 1.1 + 2j, -0.4 + 7j, 0.5 - 3j, 2.0 + 0.5j])
+    calls = []
+    original = xi_core.mellin_many
+    monkeypatch.setattr(xi_core, "mellin_many", lambda *a, **kw: calls.append(np.size(a[2])) or original(*a, **kw))
+    batched = partial_sum(rho, s, m)
+    assert calls == [s.size * (m + 1)]
+    monkeypatch.undo()
+    assert batched.value.shape == s.shape
+    for point, value in zip(s, batched.value):
+        expected = sum(sign**l * single(rho, point + l).value for l in range(m + 1))
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("partial_sum", [xi_sum_m, xi_tilde_sum_m])
+def test_partial_sum_at_a_scalar_is_a_scalar(partial_sum):
+    assert isinstance(partial_sum(0.7, 1.2 + 0.5j, 2).value, complex)
+
+
+def test_mellin_many_of_no_arguments_is_empty():
+    values, err = mellin_many(ThetaOperator.plain(), 0.5, [])
+    assert values.shape == (0,) and err == 0.0
+
+
 def test_telescope_zero_point():
     # s = (1-m)/2 + 16 rho pi i k/(1+m), m=1, k=1
     m, rho, k = 1, 0.5, 1
