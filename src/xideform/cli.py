@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 
@@ -106,11 +105,7 @@ def _emit(args, payload_rows, header=None):
 
 
 def _spec_from_args(args) -> QuadSpec:
-    tol = args.tol
-    env = os.environ.get("XI_QUAD_TOL")
-    abs_tol = float(env) if env else 1e-12
-    if tol is not None:
-        abs_tol = min(abs_tol, tol)
+    abs_tol = 1e-12 if args.tol is None else min(1e-12, args.tol)
     return QuadSpec(abs_tol=max(abs_tol, 1e-15), rel_tol=max(abs_tol * 100, 1e-13))
 
 
@@ -198,8 +193,6 @@ def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
     rho = parse_complex(args.rho)
     m = args.m
-    if m < 0:
-        raise DomainError("m must be >= 0")
     ks = range(-(args.count // 2), args.count - args.count // 2)
     roots = np.array(candidate_zeros(args.family, rho, ks, m=m), dtype=complex)
     # Xi^m(s) - Xi^m(1-m-s) vanishes on the telescope family, and Xi~^m(s) + (-1)^m Xi~^m(1-m-s) on the tilde one

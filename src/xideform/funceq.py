@@ -9,8 +9,6 @@ are generated in closed form and confirmed by quadrature.
 from __future__ import annotations
 
 import cmath
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -90,10 +88,6 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "evaluations": self.evaluations,
         }
-
-    def params_hash(self) -> str:
-        blob = json.dumps(self.params, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _report(identity, params, lhs, rhs, tol, evals) -> VerificationReport:
@@ -678,6 +672,8 @@ def verify(identity, rho=None, s=None, extras=None, tol=None, spec=None) -> Veri
 def candidate_zeros(family: str, rho, k_range, m: int = 0, branch: int = 1):
     """Closed-form roots: telescope / tilde ladders, funcor1 / funcor2 log-branches."""
     ks = list(k_range)
+    if family in ("telescope", "tilde") and m < 0:
+        raise DomainError(f"the {family} family needs m >= 0, got {m}")
     if family == "telescope":
         rho = complex(rho)
         return [(1 - m) / 2 + 16 * rho * PI * 1j * k / (1 + m) for k in ks]

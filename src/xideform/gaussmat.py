@@ -31,10 +31,6 @@ class RhoMatrix:
             raise DomainError("rho must be exactly symmetric")
         return RhoMatrix(tuple(map(tuple, a)))
 
-    @staticmethod
-    def scalar(rho) -> "RhoMatrix":
-        return RhoMatrix(((complex(rho),),))
-
     @property
     def d(self) -> int:
         return len(self.entries)
@@ -43,18 +39,7 @@ class RhoMatrix:
         return np.array(self.entries, dtype=complex)
 
     def det(self) -> complex:
-        a = self.array()
-        if self.d == 1:
-            return complex(a[0, 0])
-        if self.d == 2:
-            return complex(a[0, 0] * a[1, 1] - a[0, 1] ** 2)
-        return complex(
-            a[0, 0] * a[1, 1] * a[2, 2]
-            + 2 * a[0, 1] * a[0, 2] * a[1, 2]
-            - a[0, 0] * a[1, 2] ** 2
-            - a[1, 1] * a[0, 2] ** 2
-            - a[2, 2] * a[0, 1] ** 2
-        )
+        return complex(np.linalg.det(self.array()))
 
     def minor_R(self, i: int, k: int) -> complex:
         a = self.array()
@@ -65,17 +50,12 @@ class RhoMatrix:
         return complex(a[i, j] * a[k, k] - a[i, k] * a[j, k])
 
     def convergence_ok(self) -> bool:
-        """Re(rho_ii) > 0, det(Re rho) > 0, and for d=3 positive Re-minors R_ij."""
-        re = self.array().real
-        if not np.all(np.diag(re) > 0):
+        """Whether Re rho is positive definite (every principal minor positive): the
+        Cholesky factorisation of Re rho exists."""
+        try:
+            np.linalg.cholesky(self.array().real)
+        except np.linalg.LinAlgError:
             return False
-        if self.d >= 2 and np.linalg.det(re) <= 0:
-            return False
-        if self.d == 3:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if re[i, i] * re[j, j] - re[i, j] ** 2 <= 0:
-                        return False
         return True
 
     def require_convergent(self):
@@ -106,28 +86,10 @@ class RhoMatrix:
         return RhoMatrix.from_array(a)
 
     def inverse(self) -> np.ndarray:
-        """Adjugate inverse; exact small-dimension formulas."""
-        a = self.array()
-        det = self.det()
-        if det == 0:
+        """rho^{-1}; SingularMatrixError when det rho is exactly 0."""
+        if self.det() == 0:
             raise SingularMatrixError("rho is singular")
-        if self.d == 1:
-            return np.array([[1.0 / a[0, 0]]])
-        if self.d == 2:
-            return np.array([[a[1, 1], -a[0, 1]], [-a[0, 1], a[0, 0]]]) / det
-        adj = np.empty((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                rows = [r for r in range(3) if r != i]
-                cols = [c for c in range(3) if c != j]
-                m = a[np.ix_(rows, cols)]
-                adj[j, i] = (-1) ** (i + j) * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        return adj / det
-
-    def factorisation_ok(self, i: int, j: int, k: int) -> bool:
-        """Whether T_ijk vanishes up to round-off relative to the entry scale."""
-        scale = float(np.abs(self.array()).max()) ** 2
-        return abs(self.minor_T(i, j, k)) <= 1e-14 * max(scale, 1.0)
+        return np.linalg.inv(self.array())
 
 
 def closed_form_e(rho: RhoMatrix, s) -> complex:

@@ -24,7 +24,7 @@ from .errors import DomainError, NonConvergenceError
 
 # relative rounding of a double-precision sum, applied to its largest term
 _ROUNDING = 1e-16
-# node budget of the trapezoid rule at d = 1, 2, 3 when QuadSpec.max_nodes is unset.
+# node budget of the trapezoid rule at d = 1, 2, 3.
 # At d >= 2 it admits the grids of a nearly singular Re rho (0.19M nodes at d = 2 for a
 # smallest eigenvalue of 0.0084, 10.2M at d = 3 for one of 0.03); the benchmark's grids
 # converge on fewer than 10k and 0.61M nodes.
@@ -35,15 +35,12 @@ _CC_START, _CC_MAX_INTERVALS = 32, 4096
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and total-node budget for the quadrature rules.
-
-    max_nodes None leaves the budget to the dimension of the integral (`_MAX_NODES`), so
-    one spec serves the 1D and the d = 3 integrals of an identity alike.
-    """
+    """Tolerances of the quadrature rules.  The trapezoid rule's node budget is set by
+    the dimension of the integral (`_MAX_NODES`), so one spec serves the 1D and the
+    d = 3 integrals of an identity alike."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_nodes: int | None = None
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -96,7 +93,6 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
     c = 2.0 / math.pi * math.log(1.0 / spec.abs_tol)
     h = [2.0 ** -math.ceil(math.log2((om + c) / math.pi)) for om in omega]
     parities = list(itertools.product((0, 1), repeat=d))[1:]
-    budget = spec.max_nodes or _MAX_NODES[d]
 
     def nodes(i, offset):
         step = 2 * h[i]
@@ -123,7 +119,7 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
         floor = _ROUNDING * peak * volume
         if np.all(err <= np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(t_h)), floor)):
             return IntegralResult(t_h, err + floor, evals, peak * volume)
-        if 2**d * evals > budget:
+        if 2**d * evals > _MAX_NODES[d]:
             raise NonConvergenceError(
                 f"trapezoid rule did not converge at step {min(h):.3g} "
                 f"(err={float(np.max(err)):.3g}, nodes={evals})",

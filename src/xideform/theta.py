@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import DomainError, UnsupportedOrderError
 
@@ -35,34 +36,8 @@ DEFAULT_EPS = 1e-18
 # delta4^3), far below DEFAULT_EPS, and the operator value is its two-term closed form.
 LOG_TAIL_SPLIT = -5.0
 
-
-def _poly_mul(p, q):
-    return np.convolve(p, q)
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = np.zeros(n, dtype=complex)
-    out[: len(p)] += p
-    out[: len(q)] += q
-    return out
-
-
-def _poly_compose_linear(p, a, b):
-    """p(a*X + b) for a polynomial p given by ascending coefficients."""
-    out = np.zeros(1, dtype=complex)
-    lin = np.array([b, a], dtype=complex)
-    power = np.ones(1, dtype=complex)
-    for c in p:
-        out = _poly_add(out, c * power)
-        power = _poly_mul(power, lin)
-    return out
-
-
-def _poly_trim(p):
-    p = np.asarray(p, dtype=complex)
-    nz = np.nonzero(np.abs(p) > 0)[0]
-    return p[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
+# u, the reflection's argument -(X + 1/2), and Delta_4 = 16 D^2 + 8 D
+_X, _REFLECT, _DELTA4 = Polynomial([0, 1]), Polynomial([-0.5, -1]), Polynomial([0j, 8, 16])
 
 
 @dataclass(frozen=True)
@@ -95,42 +70,21 @@ class ThetaOperator:
         return ThetaOperator("delta4", (0j, 8.0 + 0j, 16.0 + 0j))
 
     @staticmethod
-    def delta4_h4() -> "ThetaOperator":
-        # (16 D^2 + 8 D)(1 + 4 D) = 64 D^3 + 48 D^2 + 8 D
-        return ThetaOperator("delta4_h4", (0j, 8.0 + 0j, 48.0 + 0j, 64.0 + 0j))
-
-    @staticmethod
     def delta4_power(n: int) -> "ThetaOperator":
         if n < 0 or n > 3:
             raise UnsupportedOrderError(f"delta4 power {n} not supported (0 <= n <= 3)")
-        p = np.array([1.0 + 0j])
-        d4 = np.array([0j, 8.0 + 0j, 16.0 + 0j])
-        for _ in range(n):
-            p = _poly_mul(p, d4)
-        return ThetaOperator(f"delta4^{n}", tuple(_poly_trim(p)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.dpoly) - 1
+        return ThetaOperator(f"delta4^{n}", tuple((_DELTA4**n).coef))
 
     def upoly(self) -> np.ndarray:
         """Termwise polynomial p with (op e^{-u})(u) = p(u) e^{-u}, u = pi n^2 t."""
-        acc = np.zeros(1, dtype=complex)
-        cur = np.ones(1, dtype=complex)  # D^0 applied to 1
-        for k, c in enumerate(self.dpoly):
-            if k > 0:
-                # D[q(u) e^-u] = u (q'(u) - q(u)) e^-u
-                dq = np.polynomial.polynomial.polyder(cur) if len(cur) > 1 else np.zeros(1)
-                diff = _poly_add(dq, -cur)
-                cur = np.concatenate(([0j], diff))
-            acc = _poly_add(acc, c * cur)
-        return _poly_trim(acc)
+        acc, cur = Polynomial([0j]), Polynomial([1 + 0j])  # cur: D^k applied to e^-u
+        for c in self.dpoly:
+            acc, cur = acc + c * cur, _X * (cur.deriv() - cur)  # D[q e^-u] = u (q' - q) e^-u
+        return acc.trim().coef
 
     def reflected(self) -> "ThetaOperator":
         """Conjugate through (Jf)(t) = t^(-1/2) f(1/t):  q(D) J = J q(-(D+1/2))."""
-        return ThetaOperator(
-            self.name + "~", tuple(_poly_trim(_poly_compose_linear(np.array(self.dpoly), -1.0, -0.5)))
-        )
+        return ThetaOperator(self.name + "~", tuple(Polynomial(self.dpoly)(_REFLECT).trim().coef))
 
     def at(self, x) -> complex:
         """The scalar q(x); used for the inhomogeneity images q(-1/2), q(0)."""
@@ -202,27 +156,18 @@ def theta_values(op: ThetaOperator, t) -> np.ndarray:
     return out
 
 
-# D-polynomials converting t^k psi^(k) to the Euler basis: t psi' = D psi,
-# t^2 psi'' = (D^2 - D) psi, t^3 psi''' = (D^3 - 3 D^2 + 2 D) psi.
-_DERIV_DPOLY = {
-    0: (1.0 + 0j,),
-    1: (0j, 1.0 + 0j),
-    2: (0j, -1.0 + 0j, 1.0 + 0j),
-    3: (0j, 2.0 + 0j, -3.0 + 0j, 1.0 + 0j),
-}
-
-
 def psi(t, deriv_order: int = 0):
     """d^k/dt^k Psi(t) = sum_n (-pi n^2)^k e^{-pi n^2 t}, truncated below DEFAULT_EPS.
 
     Supports 0 <= deriv_order <= 3; higher derivatives are only reachable through
     the composed operators (delta4_power), which never need them individually.
     """
-    if deriv_order not in _DERIV_DPOLY:
+    if deriv_order not in range(4):
         raise UnsupportedOrderError(f"deriv_order {deriv_order} not supported (0..3)")
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    op = ThetaOperator("deriv", _DERIV_DPOLY[deriv_order])
+    # t^k psi^(k) = D (D - 1) ... (D - k + 1) psi: the falling factorial in D = t d/dt
+    op = ThetaOperator("deriv", tuple(np.polynomial.polynomial.polyfromroots(range(deriv_order)) + 0j))
     vals = theta_values(op, t_arr).real / t_arr**deriv_order
     return float(vals[0]) if scalar else vals
 

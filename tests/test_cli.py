@@ -181,14 +181,6 @@ def test_csv_output_full_precision(tmp_path, capsys):
     assert float(rec["value_re"]) == again.value.real
 
 
-def test_env_tolerance_override(capsys, monkeypatch):
-    monkeypatch.setenv("XI_QUAD_TOL", "1e-6")
-    code, out, _ = run_cli(["eval", "--family", "xi", "--rho", "0.5", "--s", "1.0"], capsys)
-    assert code == 0
-    rec = json.loads(out.strip())
-    assert math.isfinite(rec["value_re"])
-
-
 def test_verify_rho12_roots_cli(capsys):
     code, out, _ = run_cli(
         ["verify", "rho12_roots", "--gamma", "1", "--n", "1", "--branch", "1", "--s", "0.3"], capsys

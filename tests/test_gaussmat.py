@@ -32,7 +32,7 @@ def random_convergent_rho(rng, d):
 
 
 def test_closed_form_d1():
-    assert closed_form_e(RhoMatrix.scalar(1.0), [0.0]) == pytest.approx(SQRT_PI, rel=1e-15)
+    assert closed_form_e(RhoMatrix.from_array(1.0), [0.0]) == pytest.approx(SQRT_PI, rel=1e-15)
 
 
 def test_closed_form_d2_explicit():
@@ -66,14 +66,50 @@ def quadratic_form_minors(rho: RhoMatrix, s) -> complex:
 def test_d3_quadratic_form_minor_expansion():
     rho = RhoMatrix.from_array([[1.3, 0.2, -0.1], [0.2, 1.1, 0.15], [-0.1, 0.15, 0.9]])
     s = np.array([0.4 + 0.2j, -0.3, 0.7])
-    adjugate_path = s @ rho.inverse() @ s
-    assert quadratic_form_minors(rho, s) == pytest.approx(adjugate_path, rel=1e-13)
+    inverse_path = s @ rho.inverse() @ s
+    assert quadratic_form_minors(rho, s) == pytest.approx(inverse_path, rel=1e-13)
 
 
 def test_det_d3_explicit_expansion():
     a = np.array([[1.2, 0.3, -0.2], [0.3, 0.9, 0.1], [-0.2, 0.1, 1.4]])
     rho = RhoMatrix.from_array(a)
-    assert rho.det() == pytest.approx(np.linalg.det(a), rel=1e-13)
+    # cofactor expansion along the first row
+    cofactors = (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+                 - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+                 + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+    assert rho.det() == pytest.approx(cofactors, rel=1e-13)
+
+
+def principal_minors_positive(rho: RhoMatrix) -> bool:
+    """The convergence inequalities as separate minors: Re rho_ii > 0, det Re rho > 0 and,
+    at d = 3, each 2 x 2 principal minor of Re rho positive."""
+    re = rho.array().real
+    if not np.all(np.diag(re) > 0):
+        return False
+    if rho.d >= 2 and np.linalg.det(re) <= 0:
+        return False
+    return all(re[i, i] * re[j, j] - re[i, j] ** 2 > 0 for i in range(rho.d) for j in range(i + 1, rho.d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_convergence_ok_is_the_principal_minor_criterion(d):
+    # Re rho = Q diag(lam) Q^T with lam drawn positive, indefinite (one or more negative),
+    # or with a smallest eigenvalue of +-1e-6 (near-singular), plus a random imaginary part
+    rng = np.random.default_rng(20 + d)
+    verdicts = []
+    for draw in range(600):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        lam = rng.uniform(0.05, 2.0, size=d)
+        if draw % 3 == 1:
+            lam[: rng.integers(1, d + 1)] *= -1
+        elif draw % 3 == 2:
+            lam[0] = rng.choice([-1e-6, 1e-6])
+        re = q @ np.diag(lam) @ q.T
+        im = rng.normal(size=(d, d))
+        rho = RhoMatrix.from_array((re + re.T) / 2 + 0.5j * (im + im.T))
+        verdicts.append(rho.convergence_ok())
+        assert verdicts[-1] == principal_minors_positive(rho), rho.array()
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_minor_symmetries():
@@ -128,7 +164,7 @@ def test_flip_involution_and_det():
 
 
 def test_rescale_class():
-    rho = RhoMatrix.scalar(1.0)
+    rho = RhoMatrix.from_array(1.0)
     scaled, s_new, pref = rescale_class(rho, [2.0], [2.0])
     assert scaled.entries[0][0] == pytest.approx(0.25)
     assert s_new[0] == pytest.approx(1.0)
@@ -155,20 +191,7 @@ def test_errors():
     with pytest.raises(DomainError):
         closed_form_e(RhoMatrix.from_array([[-1.0, 0.0], [0.0, 1.0]]), [0, 0])
     with pytest.raises(DomainError):
-        rescale_class(RhoMatrix.scalar(1.0), [1.0], [-1.0])
-
-
-def test_factorisation_predicate():
-    diag = RhoMatrix.from_array(np.diag([1.0, 0.8, 1.2]))
-    assert diag.factorisation_ok(0, 1, 2)
-    generic = RhoMatrix.from_array([[1.2, 0.3, -0.2], [0.3, 0.9, 0.1], [-0.2, 0.1, 1.4]])
-    assert not generic.factorisation_ok(0, 1, 2)
-    # T_012 = rho01 rho22 - rho02 rho12 = 0 while the matrix stays coupled
-    crafted = RhoMatrix.from_array([[1.0, 0.1, 0.5], [0.1, 1.0, 0.2], [0.5, 0.2, 1.0]])
-    a = crafted.array().copy()
-    a[0, 1] = a[1, 0] = a[0, 2] * a[1, 2] / a[2, 2]
-    crafted = RhoMatrix.from_array(a)
-    assert crafted.factorisation_ok(0, 1, 2)
+        rescale_class(RhoMatrix.from_array(1.0), [1.0], [-1.0])
 
 
 def test_partial_marginalization_matches_quadrature():

@@ -25,6 +25,8 @@ PSI_1_1 = -0.1358043514016635018219
 PSI_1_2 = 0.4270549773360569747764
 PSI_005 = 1.736067977499789696409
 DELTA4_AT_1 = 3.573575203736987552696
+# Delta4 H4 = (16 D^2 + 8 D)(1 + 4 D) = 64 D^3 + 48 D^2 + 8 D
+DELTA4_H4 = ThetaOperator("delta4_h4", (0j, 8, 48, 64))
 
 
 def direct_sum(t, k=0, terms=50):
@@ -86,9 +88,22 @@ def test_delta4_equals_jensen_combination():
 def test_delta4_h4_expansion():
     # Delta4 H4 = 64 t^3 d^3 + 240 t^2 d^2 + 120 t d  (composition of the two operators)
     for t in (0.5, 1.0, 2.0):
-        termwise = apply_theta_op(ThetaOperator.delta4_h4(), t)
+        termwise = apply_theta_op(DELTA4_H4, t)
         derivative_path = 64 * t**3 * psi(t, 3) + 240 * t**2 * psi(t, 2) + 120 * t * psi(t, 1)
         assert termwise == pytest.approx(derivative_path, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 3.123456789, 0.3 + 0.7j])
+def test_delta_alpha_termwise_and_reflected_polynomials(alpha):
+    # Delta_alpha = alpha^2 D^2 + 2 alpha D with D e^-u = -u e^-u gives
+    # alpha^2 u^2 - (alpha^2 + 2 alpha) u, and q(-(D + 1/2)) expands to
+    # alpha^2 D^2 + (alpha^2 - 2 alpha) D + alpha^2/4 - alpha
+    op = ThetaOperator.delta(alpha)
+    a = complex(alpha)
+    for got, want in ((op.upoly(), [0, -(a * a + 2 * a), a * a]),
+                      (np.array(op.reflected().dpoly), [a * a / 4 - a, a * a - 2 * a, a * a])):
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_delta4_power_matches_euler_finite_differences():
@@ -145,7 +160,7 @@ def test_truncation_certificate():
     op = ThetaOperator.delta4()
     up = op.upoly()
     for t in (0.25, 1.0, 4.0):
-        n = term_count(t, op.degree * 2)
+        n = term_count(t, (len(op.dpoly) - 1) * 2)
         t_arr = np.array([t])
         full = _series(up, t_arr, 1e-18)[0]
         # doubling the term count must not move the value beyond eps

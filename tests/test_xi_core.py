@@ -27,6 +27,8 @@ from xideform.xi_core import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+# Delta4 H4 = (16 D^2 + 8 D)(1 + 4 D) = 64 D^3 + 48 D^2 + 8 D
+DELTA4_H4 = ThetaOperator("delta4_h4", (0j, 8, 48, 64))
 
 # mpmath oracle values (35 digits, log-axis tanh-sinh quadrature)
 XI_1_HALF = 0.14763449417748107966
@@ -246,7 +248,7 @@ def test_mellin_many_matches_single():
 
 @pytest.mark.parametrize("m", [0, 2])
 @pytest.mark.parametrize("op", [ThetaOperator.plain(), ThetaOperator.h(4.0), ThetaOperator.delta4(),
-                                ThetaOperator.delta4_h4(), ThetaOperator.delta4_power(3),
+                                DELTA4_H4, ThetaOperator.delta4_power(3),
                                 ThetaOperator.delta(3)], ids=lambda op: op.name)
 def test_node_data_left_tail_matches_the_series(op, m):
     # below LOG_TAIL_SPLIT the operator image is the closed form c1 e^{-x/2} + c2, with

@@ -1,10 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xideform import xi_multi
+from xideform import quadrature, xi_multi
 from xideform.errors import DomainError, NonConvergenceError
 from xideform.funceq import IdentityId, sample_convergent_rho, verify
 from xideform.quadrature import QuadSpec
@@ -126,14 +125,15 @@ def test_heat_multi_finite_difference():
     assert abs(fd - analytic) < 1e-6 * max(1.0, abs(analytic))
 
 
-def test_stall_raises_with_estimate():
+def test_stall_raises_with_estimate(monkeypatch):
     # a narrow Gaussian (rho_ii = 10) misses on the first grid of 33 x 33 nodes and
     # converges one halving later; a budget below the halved grid stops at the coarse value
     params = MultiXiParams.make([[10.0, 1.0], [1.0, 10.0]], [0.5, 0.5 + 1j])
     spec = QuadSpec.for_dimension(2)
     converged = xi_d(params, spec)
+    monkeypatch.setitem(quadrature._MAX_NODES, 2, 2000)
     with pytest.raises(NonConvergenceError) as exc:
-        xi_d(params, replace(spec, max_nodes=2000))
+        xi_d(params, spec)
     assert exc.value.error_estimate > spec.abs_tol
     assert abs(exc.value.best_value - converged.value) <= exc.value.error_estimate
 
