@@ -86,10 +86,11 @@ class RhoMatrix:
         return RhoMatrix.from_array(a)
 
     def inverse(self) -> np.ndarray:
-        """rho^{-1}; SingularMatrixError when det rho is exactly 0."""
-        if self.det() == 0:
+        """rho^{-1}; SingularMatrixError when its numerical rank (numpy's SVD test) is below d."""
+        a = self.array()
+        if np.linalg.matrix_rank(a) < self.d:
             raise SingularMatrixError("rho is singular")
-        return np.linalg.inv(self.array())
+        return np.linalg.inv(a)
 
 
 def closed_form_e(rho: RhoMatrix, s) -> complex:
@@ -97,12 +98,9 @@ def closed_form_e(rho: RhoMatrix, s) -> complex:
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if s.size != rho.d:
         raise DomainError(f"s has length {s.size}, expected {rho.d}")
-    det = rho.det()
-    if det == 0:
-        raise SingularMatrixError("rho is singular")
+    inv = rho.inverse()  # a singular rho is refused before the convergence test
     rho.require_convergent()
-    quad = s @ rho.inverse() @ s
-    return complex(np.sqrt(np.pi**rho.d / det) * np.exp(quad / 16.0))
+    return complex(np.sqrt(np.pi**rho.d / rho.det()) * np.exp(s @ inv @ s / 16.0))
 
 
 def rescale_class(rho: RhoMatrix, s, lam):

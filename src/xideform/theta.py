@@ -10,6 +10,10 @@ Small t is routed through the inversion t -> 1/t.  Conjugating a D-polynomial q(
 through the half-power reflection (Jf)(t) = t^(-1/2) f(1/t) gives q(-(D + 1/2)), and
 q(D) applied to the inhomogeneity (t^(-1/2) - 1)/2 is (q(-1/2) t^(-1/2) - q(0))/2, so
 the reflected evaluation stays inside the same termwise machinery.
+
+A table built at import holds (D^k Psi)(e^x), k = 0..6, at x = LOG_TAIL_SPLIT + j 2^-8 up to 8, as
+t^(-1/2) (D^k Psi)(1/t) where t < SMALL_T.  `log_values` reads an operator's values on anchored grids
+of step 2^-8 or coarser from its rows, and sums the series (`theta_values`) at any other nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ DEFAULT_EPS = 1e-18
 # is below 1e-180 (about e^{-pi e^5} times the operator's polynomial; 1.6e-182 for
 # delta4^3), far below DEFAULT_EPS, and the operator value is its two-term closed form.
 LOG_TAIL_SPLIT = -5.0
+
+# The table's grid, x = LOG_TAIL_SPLIT + j 2^-8 up to x = 8, and its columns D^0 .. D^6
+_TABLE_STEP, _TABLE_COLS = 2.0**-8, 7
+_TABLE_X = LOG_TAIL_SPLIT + _TABLE_STEP * np.arange(int((8.0 - LOG_TAIL_SPLIT) / _TABLE_STEP) + 1)
 
 # u, the reflection's argument -(X + 1/2), and Delta_4 = 16 D^2 + 8 D
 _X, _REFLECT, _DELTA4 = Polynomial([0, 1]), Polynomial([-0.5, -1]), Polynomial([0j, 8, 16])
@@ -115,13 +123,13 @@ def term_count(t_min: float, weight_degree: int, eps: float = DEFAULT_EPS) -> in
 
 
 def _series(upoly: np.ndarray, t: np.ndarray, eps: float) -> np.ndarray:
-    """sum_n p(pi n^2 t) e^{-pi n^2 t} over the truncated range, vectorized in t."""
+    """sum_n p(pi n^2 t) e^{-pi n^2 t} over the truncated range, vectorized in t (at t[:, None], per column of p)."""
     if t.size == 0:
         return np.zeros(0, dtype=complex)
     scale = 1.0 + float(np.abs(upoly).sum())
     n_terms = term_count(float(t.min()), len(upoly) - 1, eps / scale)
     n = np.arange(1, n_terms + 1, dtype=float)
-    u = PI * np.outer(n * n, t)
+    u = PI * np.multiply.outer(n * n, t)
     # Horner's rule, as numpy's polyval evaluates it, without its per-call set-up
     p = upoly[-1] + u * 0
     for c in upoly[-2::-1]:
@@ -129,14 +137,35 @@ def _series(upoly: np.ndarray, t: np.ndarray, eps: float) -> np.ndarray:
     return (p * np.exp(-u)).sum(axis=0)
 
 
+def _basis_table():
+    """The read-only table and its count of reflected rows: one `_series` call over all columns per
+    unit of x (a block's truncation suits its own smallest t), in long double where the platform has
+    it, as in double D^6's cancelling polynomial puts delta4^3 5.8e-13 of its value off at x = -1.08."""
+    t = np.exp(_TABLE_X.astype(np.longdouble))
+    left = t < SMALL_T
+    basis, cur = np.zeros((_TABLE_COLS, _TABLE_COLS)), Polynomial([1.0])
+    for k in range(_TABLE_COLS):  # column k: the u-polynomial of D^k, as in upoly
+        basis[: k + 1, k], cur = cur.coef, _X * (cur.deriv() - cur)
+    rows = np.concatenate([_series(basis, b[:, None], DEFAULT_EPS) for b in np.array_split(np.where(left, 1 / t, t), 13)])
+    rows[left] /= np.sqrt(t[left])[:, None]
+    rows = rows.astype(float)
+    rows.flags.writeable = False
+    return rows, int(left.sum())
+
+
+_TABLE, _TABLE_LEFT = _basis_table()
+
+
 @lru_cache(maxsize=64)
 def _op_polys(op: ThetaOperator):
-    """(upoly, reflected upoly, left-tail coefficients) of op, built once per operator
-    value: the constructors return a fresh instance on every call, so the cache is keyed
-    by value, not held on the instance.  The arrays are shared, hence read-only."""
-    up, refl = op.upoly(), op.reflected().upoly()
-    up.flags.writeable = refl.flags.writeable = False
-    return up, refl, (op.at(-0.5) / 2.0, -op.at(0.0) / 2.0)
+    """(upoly, reflected upoly, left-tail coefficients, (dpoly, reflected dpoly)) of op, built
+    once per operator value: the constructors return a fresh instance on every call, so
+    the cache is keyed by value, not held on the instance.  The arrays are read-only."""
+    refl = op.reflected()
+    arrays = [op.upoly(), refl.upoly(), np.array(op.dpoly, dtype=complex), np.array(refl.dpoly, dtype=complex)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[0], arrays[1], (op.at(-0.5) / 2.0, -op.at(0.0) / 2.0), tuple(arrays[2:])
 
 
 def theta_values(op: ThetaOperator, t) -> np.ndarray:
@@ -145,7 +174,7 @@ def theta_values(op: ThetaOperator, t) -> np.ndarray:
     if np.any(t <= 0.0):
         raise DomainError("theta operators require t > 0")
     out = np.empty(t.shape, dtype=complex)
-    up, refl, (c1, c2) = _op_polys(op)
+    up, refl, (c1, c2), _ = _op_polys(op)
     big = t >= SMALL_T
     if big.any():
         out[big] = _series(up, t[big], DEFAULT_EPS)
@@ -154,6 +183,23 @@ def theta_values(op: ThetaOperator, t) -> np.ndarray:
         inv_sqrt = 1.0 / np.sqrt(ts)
         out[~big] = inv_sqrt * _series(refl, 1.0 / ts, DEFAULT_EPS) + c1 * inv_sqrt + c2
     return out
+
+
+def log_values(op: ThetaOperator, x) -> np.ndarray:
+    """(op Psi)(e^x) at real nodes x >= LOG_TAIL_SPLIT: the table's rows times op's
+    D-coefficients (on the left, its reflection's, plus c1 e^{-x/2} + c2) when x is an
+    ascending progression on the table grid and op fits the table, else theta_values."""
+    x = np.asarray(x, dtype=float)
+    _, _, (c1, c2), (dp, rp) = _op_polys(op)
+    first = (x[0] - LOG_TAIL_SPLIT) / _TABLE_STEP if x.size else -1.0
+    stride = (x[-1] - x[0]) / (_TABLE_STEP * (x.size - 1)) if x.size > 1 else 1.0
+    if dp.size <= _TABLE_COLS and first >= 0 and first.is_integer() and stride >= 1 and stride.is_integer():
+        rows = slice(int(first), int(first) + int(stride) * (x.size - 1) + 1, int(stride))
+        if np.array_equal(_TABLE_X[rows], x):  # a slice past the table's end is too short
+            k = int(np.searchsorted(x, _TABLE_X[_TABLE_LEFT]))  # nodes left of ln SMALL_T
+            left = _TABLE[rows][:k, : rp.size] @ rp + c1 * np.exp(-0.5 * x[:k]) + c2
+            return np.concatenate([left, _TABLE[rows][k:, : dp.size] @ dp])
+    return theta_values(op, np.exp(x))
 
 
 def psi(t, deriv_order: int = 0):

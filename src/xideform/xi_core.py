@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PrecisionWarning
 from .quadrature import QuadSpec, trapezoid
-from .theta import LOG_TAIL_SPLIT, ThetaOperator, theta_values
+from .theta import LOG_TAIL_SPLIT, ThetaOperator, log_values
 
 # Largest real exponent we allow inside exp() before declaring the evaluation
 # out of double-precision range.
@@ -81,7 +81,7 @@ def node_data(op: ThetaOperator, x, rho, m: int = 0) -> tuple[np.ndarray, np.nda
     V = np.empty(x.shape, dtype=complex)
     right = x >= LOG_TAIL_SPLIT
     if right.any():
-        V[right] = theta_values(op, np.exp(x[right]))
+        V[right] = log_values(op, x[right])
     if not right.all():
         c1, c2 = op.left_tail_coeffs()
         xl = x[~right]

@@ -194,6 +194,23 @@ def test_errors():
         rescale_class(RhoMatrix.from_array(1.0), [1.0], [-1.0])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_rank_deficient_rho_is_refused(d):
+    # B B^T of a d x r matrix B, r < d: its computed det is exactly 0 only now and then
+    # (58 of 200 draws at d = 2), so the rank, not det == 0, tells inverse and
+    # closed_form_e to refuse it; half of the draws have a real B
+    rng = np.random.default_rng(40 + d)
+    for draw in range(200):
+        r = int(rng.integers(1, d))
+        b = rng.normal(size=(d, r)) + 1j * (draw % 2) * rng.normal(size=(d, r))
+        a = b @ b.T
+        rho = RhoMatrix.from_array((a + a.T) / 2)
+        with pytest.raises(SingularMatrixError):
+            rho.inverse()
+        with pytest.raises(SingularMatrixError):
+            closed_form_e(rho, np.ones(d))
+
+
 def test_partial_marginalization_matches_quadrature():
     # integrating two axes of the 3D Gaussian at fixed x3 leaves the reduced kernel
     rho = RhoMatrix.from_array([[1.2, 0.3, -0.2], [0.3, 0.9, 0.1], [-0.2, 0.1, 1.4]])

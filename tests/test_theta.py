@@ -1,22 +1,28 @@
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xideform import theta
 from xideform.errors import DomainError, UnsupportedOrderError
 from xideform.funceq import verify
 from xideform.theta import (
     DEFAULT_EPS,
+    LOG_TAIL_SPLIT,
     SMALL_T,
     ThetaOperator,
     _op_polys,
     apply_theta_op,
+    log_values,
     psi,
     term_count,
     theta_values,
 )
+from xideform.xi_core import node_data
 
 # Frozen with mpmath at 35 digits: sum_{n<120} (-pi n^2)^k exp(-pi n^2 t).
 PSI_1_0 = 0.04321740560665400728766
@@ -212,7 +218,85 @@ def test_cached_polynomials_give_the_same_bits(op):
     ref[~big] = inv_sqrt * _reference_series(op.reflected().upoly(), 1.0 / ts) + c1 * inv_sqrt + c2
     theta_values(op, t)  # a second call reads the cache
     assert np.array_equal(theta_values(op, t), ref)
-    up, refl, _ = _op_polys(op)
+    up, refl, _, _ = _op_polys(op)
     assert not up.flags.writeable and not refl.flags.writeable
     with pytest.raises(ValueError):
         up[0] = 0.0
+
+
+# Stirling numbers S(k, j): D^k e^{-u} = sum_j S(k, j) (-u)^j e^{-u} for u = pi n^2 t.
+STIRLING2 = [[1], [0, 1], [0, 1, 1], [0, 1, 3, 1], [0, 1, 7, 6, 1], [0, 1, 15, 25, 10, 1],
+             [0, 1, 31, 90, 65, 15, 1]]
+FINE = 2.0**-8
+FINE_X = -5.0 + FINE * np.arange(11 * 256 + 1)  # the table's grid over [-5, 6]
+TABLE_OPS = [ThetaOperator.plain(), ThetaOperator.h(4.0), ThetaOperator.delta4(),
+             ThetaOperator.delta4_power(3), ThetaOperator.delta(0.7 + 0.2j)]
+
+
+@lru_cache(maxsize=None)
+def _mp_basis():
+    """(D^k Psi)(e^x), k = 0..6, at FINE_X: 30-digit sums of the series until u > 120."""
+    mp.mp.dps = 30
+    rows = []
+    for x in FINE_X:
+        t, moments, n = mp.exp(mp.mpf(x)), [mp.mpf(0)] * 7, 1
+        while mp.pi * n * n * t <= 120:
+            u = mp.pi * n * n * t
+            w = mp.exp(-u)
+            for j in range(7):
+                moments[j] += w
+                w *= -u
+            n += 1
+        rows.append([sum(s * moments[j] for j, s in enumerate(row)) for row in STIRLING2])
+    return rows
+
+
+def _mp_values(op):
+    return np.array([complex(sum(mp.mpc(c) * b for c, b in zip(op.dpoly, row))) for row in _mp_basis()])
+
+
+def _no_series(op, t):
+    raise AssertionError("log_values fell back to the series on a table grid")
+
+
+@pytest.mark.parametrize("op", TABLE_OPS, ids=lambda op: op.name)
+def test_log_values_match_an_mpmath_sum_on_the_table_grids(op, monkeypatch):
+    # every ascending progression on the table grid is read from the table: the grids of
+    # step 2^-2 ... 2^-8 from -5, their odd nodes (step 2h at offset h) and single nodes
+    ref = _mp_values(op)
+    bound = (1e-13 if op.name == "delta4^3" else 1e-14) * np.maximum(1.0, np.abs(ref))
+    monkeypatch.setattr(theta, "theta_values", _no_series)
+    picks = [slice(j, j + 1) for j in (0, 867, 868, FINE_X.size - 1)]
+    for stride in (64, 32, 16, 8, 4, 2, 1):
+        picks += [slice(0, None, stride), slice(stride // 2, None, stride)]
+    for rows in picks:
+        assert np.all(np.abs(log_values(op, FINE_X[rows]) - ref[rows]) <= bound[rows]), rows
+
+
+@pytest.mark.parametrize("op", TABLE_OPS, ids=lambda op: op.name)
+def test_node_data_reads_a_suffix_from_the_table(op, monkeypatch):
+    # node_data passes log_values the nodes right of LOG_TAIL_SPLIT, here a suffix from -5
+    x = FINE * np.arange(-9 * 256, 6 * 256 + 1, 2)
+    monkeypatch.setattr(theta, "theta_values", _no_series)
+    V, _ = node_data(op, x, 0.5)
+    right = x >= LOG_TAIL_SPLIT
+    assert x[right][0] == -5.0
+    assert np.array_equal(V[right], log_values(op, x[right]))
+
+
+@pytest.mark.parametrize("op", TABLE_OPS + [ThetaOperator("D^7", (0j,) * 7 + (1 + 0j,))], ids=lambda op: op.name)
+def test_log_values_off_the_table_are_the_series_values(op):
+    # off-grid nodes, a finer step, nodes past x = 8, on-grid nodes out of progression and
+    # an operator with 8 D-coefficients all take theta_values, bit for bit
+    cases = [np.linspace(-4.0, 3.0, 50), 2.0**-9 * np.arange(-5 * 512, 6 * 512 + 1),
+             FINE * np.arange(7 * 256, 9 * 256 + 1), FINE_X[[0, 2, 3, 6]], FINE_X[::-4]]
+    if len(op.dpoly) > 7:
+        cases.append(FINE_X[::4])
+    for x in cases:
+        assert np.array_equal(log_values(op, x), theta_values(op, np.exp(x)))
+
+
+def test_basis_table_is_read_only():
+    assert theta._TABLE.shape == (3329, 7) and not theta._TABLE.flags.writeable
+    with pytest.raises(ValueError):
+        theta._TABLE[0, 0] = 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xideform import xi_core
+from xideform import theta, xi_core
 from xideform.errors import DomainError
 from xideform.funceq import verify
 from xideform.quadrature import QuadSpec
@@ -264,27 +264,35 @@ def test_node_data_left_tail_matches_the_series(op, m):
 
 
 def test_repeated_calls_repeat_bits_and_theta_calls(monkeypatch):
-    # nothing is kept between calls: the same sequence again gives the same bits from the
-    # same theta evaluations
+    # nothing is filled between calls: the theta table is built at import, so the same
+    # sequence again, or in reverse order, gives the same bits, and the same fallback
+    # theta_values calls (made here by node_data's off-grid nodes)
     sizes = []
-    theta = xi_core.theta_values
+    fallback = theta.theta_values
 
     def counted(op, t, *args):
         sizes.append(np.size(t))
-        return theta(op, t, *args)
+        return fallback(op, t, *args)
 
-    monkeypatch.setattr(xi_core, "theta_values", counted)
+    monkeypatch.setattr(theta, "theta_values", counted)
+    calls = [lambda: xi(0.3, 0.5 + 14j), lambda: xi_ds(0.7, -0.4 + 3j, 2), lambda: xi_tilde(1.2, 2 + 25j),
+             lambda: mellin_many(ThetaOperator.delta4(), 0.5, [0.25, 0.3 + 5j, -0.2 + 9j]),
+             lambda: node_data(ThetaOperator.h(4.0), np.linspace(-4.0, 3.0, 50), 0.5)]
 
-    def run():
+    def run(order):
         sizes.clear()
-        out = [xi(0.3, 0.5 + 14j), xi_ds(0.7, -0.4 + 3j, 2), xi_tilde(1.2, 2 + 25j),
-               mellin_many(ThetaOperator.delta4(), 0.5, [0.25, 0.3 + 5j, -0.2 + 9j])]
+        out = [None] * len(calls)
+        for k in order:
+            out[k] = calls[k]()
         return out, list(sizes)
 
-    (first, first_sizes), (second, second_sizes) = run(), run()
-    assert first_sizes and first_sizes == second_sizes
-    assert first[:3] == second[:3]
-    assert np.array_equal(first[3][0], second[3][0]) and first[3][1] == second[3][1]
+    (first, first_sizes), (second, second_sizes) = run(range(5)), run(range(5))
+    assert first_sizes == second_sizes == [50]
+    backward, _ = run(range(4, -1, -1))
+    for out in (second, backward):
+        assert out[:3] == first[:3]
+        assert all(np.array_equal(a, b) for pair, ref in zip(out[3:], first[3:]) for a, b in zip(pair, ref))
+    assert not theta._TABLE.flags.writeable
 
 
 def test_quad_error_reported():
