@@ -236,7 +236,6 @@ TABLE_OPS = [ThetaOperator.plain(), ThetaOperator.h(4.0), ThetaOperator.delta4()
 @lru_cache(maxsize=None)
 def _mp_basis():
     """(D^k Psi)(e^x), k = 0..6, at FINE_X: 30-digit sums of the series until u > 120."""
-    mp.mp.dps = 30
     rows = []
     for x in FINE_X:
         t, moments, n = mp.exp(mp.mpf(x)), [mp.mpf(0)] * 7, 1
@@ -251,6 +250,7 @@ def _mp_basis():
     return rows
 
 
+@mp.workdps(30)
 def _mp_values(op):
     return np.array([complex(sum(mp.mpc(c) * b for c, b in zip(op.dpoly, row))) for row in _mp_basis()])
 
