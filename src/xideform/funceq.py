@@ -9,6 +9,7 @@ are generated in closed form and confirmed by quadrature.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
-from .gaussmat import RhoMatrix, closed_form_e
+from .gaussmat import RhoMatrix, marginal
 from .ode_solutions import (_check_rho, _chi_segment, _q, canonical_decomposition, canonical_sinh_coeff,
                             iterated_I, iterated_P, segment_weighted_mellin, tilde_decomposition, vop_coefficients)
 from .quadrature import QuadSpec, trapezoid
@@ -105,33 +106,42 @@ def _as_rho(rho) -> RhoMatrix:
     return rho if isinstance(rho, RhoMatrix) else RhoMatrix.from_array(rho)
 
 
-def _xi(rho: RhoMatrix, s, spec) -> complex:
-    """Xi(rho, s): the 1D transform at d = 1, the d-dimensional quadrature above."""
-    s = tuple(complex(v) for v in s)
+def _xi(rho: RhoMatrix, s, spec):
+    """Xi(rho, s): the 1D transform at d = 1, the d-dimensional quadrature above.  A 2-D s
+    gives Xi at each of its rows, in one batched transform at d = 1."""
+    rows = np.atleast_2d(np.asarray(s, dtype=complex))
     if rho.d == 1:
-        return xi(rho.entries[0][0], s[0], spec).value
-    return xi_d(MultiXiParams(rho, s, "theta"), spec).value
+        values = mellin_many(ThetaOperator.plain(), rho.entries[0][0], rows[:, 0] / 2, 0, spec)[0]
+    else:
+        values = np.array([xi_d(MultiXiParams(rho, tuple(row), "theta"), spec).value for row in rows])
+    return values if np.ndim(s) == 2 else complex(values[0])
+
+
+def _corners(s, axes):
+    """The rows s - c over the corners c of the unit cube on the axes, and their signs (-1)^|c|."""
+    c = np.zeros((2 ** len(axes), len(s)))
+    c[:, axes] = list(itertools.product((0, 1), repeat=len(axes)))
+    return s - c, (-1.0) ** c.sum(axis=1)
 
 
 def _flip_bracket(rho: RhoMatrix, k: int, s, spec) -> complex:
     """Xi(rho, s) - Xi(flip_k rho, s_k -> 1 - s_k): axis k of the Gaussian integrated out.
 
-    sqrt(pi/rho_kk)/2 [e^{(s_k-1)^2/16rho_kk} Xi_red(s_i - (s_k-1) rho_ik/rho_kk)
-    - e^{s_k^2/16rho_kk} Xi_red(s_i - s_k rho_ik/rho_kk)], i != k, with Xi_red the
-    transform over reduce_k(rho), and 1 at d = 1.  Every reduced term of the catalog
-    is one of these brackets at some flip of rho and reflection of s.
+    -1/2 sum_c (-1)^c g_c Xi_rho'(s'_c) over c = 0, 1, with (g_c, rho', s'_c) the
+    `marginal` of axis k at s_k - c, and Xi_rho' = 1 at d = 1.  Every single-axis reduced
+    term of the catalog is one of these brackets at some flip of rho and reflection of s.
     """
-    a = rho.array()
-    rkk = a[k, k]
-    red = rho.reduce_k(k) if rho.d > 1 else None
+    rows, signs = _corners(s, [k])
+    g, red, shifted = marginal(rho, [k], rows)
+    xis = 1.0 if red is None else _xi(red, shifted, spec)
+    return -(signs @ (g * xis)) / 2
 
-    def side(shift):
-        gauss = np.exp(shift**2 / (16 * rkk))
-        if red is None:
-            return gauss
-        return gauss * _xi(red, [s[i] - shift * a[i, k] / rkk for i in range(rho.d) if i != k], spec)
 
-    return np.sqrt(PI / rkk) / 2 * (side(s[k] - 1) - side(s[k]))
+def _corner_sum(rho: RhoMatrix, s) -> complex:
+    """2^-d sum_c (-1)^|c| e(rho, s - c) over the corners c of the unit cube: every axis
+    integrated out."""
+    rows, signs = _corners(s, range(rho.d))
+    return signs @ marginal(rho, range(rho.d), rows)[0] / 2**rho.d
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +165,9 @@ def _verify_sk_flip(rho, s, k, spec):
     return _xi(rho, s, spec), rhs
 
 
-def _fun1_closed(rho, s1, s2) -> complex:
-    """fun1's closed Gaussian group: e(rho, s - c)/4 over the corners c of the unit square,
-    signed (-1)^(c1 + c2)."""
-    e = lambda p, q: closed_form_e(rho, [p, q])
-    return (e(s1, s2) - e(s1 - 1, s2) - e(s1, s2 - 1) + e(s1 - 1, s2 - 1)) / 4
-
-
 def _verify_fun1(rho, s, spec):
-    s1, s2 = complex(s[0]), complex(s[1])
-    closed = _fun1_closed(rho, s1, s2)
-    g11 = _flip_bracket(rho.flip_k(0), 0, [s1, 1 - s2], spec)
-    g22 = _flip_bracket(rho.flip_k(1), 1, [1 - s1, s2], spec)
-    return _flip_difference(rho, [s1, s2], spec), closed + g22 + g11
+    brackets = sum(_flip_bracket(rho.flip_k(k), k, np.where(np.arange(2) == k, s, 1 - s), spec) for k in range(2))
+    return _flip_difference(rho, s, spec), _corner_sum(rho, s) + brackets
 
 
 def _verify_fun11(rho, s, spec):
@@ -246,40 +246,15 @@ def _verify_mean_value(rho, s, spec):
     return outer.value, rhs
 
 
-_PAIR_FOR_K = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
-
-def _c_term(rho: RhoMatrix, k: int, x, y, z, spec) -> complex:
-    """Closed 2D reduction times a 1D Xi; the minor shift enters with + sign."""
-    a = rho.array()
-    i, j = _PAIR_FOR_K[k]
-    rij = rho.minor_R(i, j)
-    tkij = rho.minor_T(k, i, j)
-    tkji = rho.minor_T(k, j, i)
-    pref = np.exp((a[j, j] * x**2 + a[i, i] * y**2 - 2 * a[i, j] * x * y) / (16 * rij)) / np.sqrt(rij)
-    return pref * xi(rho.det() / rij, 1 - z + (x * tkij + y * tkji) / rij, spec).value
-
-
 def _verify_result3d(rho, s, spec):
-    s1, s2, s3 = (complex(v) for v in s)
-    svec = [s1, s2, s3]
-    lhs = _flip_difference(rho, svec, spec)
-    e = lambda p, q, r: closed_form_e(rho, [p, q, r])
-    grp_exp = (1.0 / 8.0) * (
-        e(s1, s2 - 1, s3) - e(s1 - 1, s2, s3 - 1) + e(s1 - 1, s2, s3) - e(s1 - 1, s2 - 1, s3)
-        + e(s1 - 1, s2 - 1, s3 - 1) - e(s1, s2, s3) + e(s1, s2, s3 - 1) - e(s1, s2 - 1, s3 - 1)
-    )
-    C = lambda k, x, y, z: _c_term(rho, k, x, y, z, spec)
-    grp_c = (PI / 4.0) * (
-        C(2, s1, s2, s3) - C(2, s1, s2 - 1, s3) + C(2, s1 - 1, s2 - 1, s3) - C(2, s1 - 1, s2, s3)
-        + C(1, s1, s3, s2) - C(1, s1, s3 - 1, s2) + C(1, s1 - 1, s3 - 1, s2) - C(1, s1 - 1, s3, s2)
-        + C(0, s2, s3, s1) - C(0, s2, s3 - 1, s1) + C(0, s2 - 1, s3 - 1, s1) - C(0, s2 - 1, s3, s1)
-    )
-    grp_red = sum(
-        _flip_bracket(rho.flip_k(k), k, [v if i == k else 1 - v for i, v in enumerate(svec)], spec)
-        for k in range(3)
-    )
-    return lhs, grp_exp + grp_c + grp_red
+    # each pair of axes integrated out at its four corners leaves a 1D Xi over the Schur complement
+    grp_c = 0j
+    for pair in itertools.combinations(range(3), 2):
+        rows, signs = _corners(s, pair)
+        g, red, shifted = marginal(rho, pair, rows)
+        grp_c += signs @ (g * _xi(red, 1 - shifted, spec)) / 4
+    grp_red = sum(_flip_bracket(rho.flip_k(k), k, np.where(np.arange(3) == k, s, 1 - s), spec) for k in range(3))
+    return _flip_difference(rho, s, spec), grp_c + grp_red - _corner_sum(rho, s)
 
 
 def _verify_sixterm(rho, s, spec):

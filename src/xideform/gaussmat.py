@@ -1,8 +1,9 @@
-"""Symmetric complex coupling matrices rho (d <= 3): minors, reductions, Gaussian closed forms.
+"""Symmetric complex coupling matrices rho (d <= 3) and the Gaussian integrals over them.
 
-The 2x2 sub-determinants R_ik = rho_ii rho_kk - rho_ik^2 and
-T_ijk = rho_ij rho_kk - rho_ik rho_jk drive both the dimension reduction
-(integrating out one axis of the Gaussian coupling) and the explicit closed forms.
+One function, `marginal`, integrates a set S of axes out of the Gaussian
+e^{-x.rho x + s.x/2}: a factor, the Schur complement of rho_SS on the remaining axes
+and the shifted arguments there.  The closed form e(rho, s) is its all-axes case, and
+every reduced term of the functional equations (`funceq`) is one of its partial cases.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ class RhoMatrix:
     def det(self) -> complex:
         return complex(np.linalg.det(self.array()))
 
-    def minor_R(self, i: int, k: int) -> complex:
-        a = self.array()
-        return complex(a[i, i] * a[k, k] - a[i, k] ** 2)
-
-    def minor_T(self, i: int, j: int, k: int) -> complex:
-        a = self.array()
-        return complex(a[i, j] * a[k, k] - a[i, k] * a[j, k])
-
     def convergence_ok(self) -> bool:
         """Whether Re rho is positive definite (every principal minor positive): the
         Cholesky factorisation of Re rho exists."""
@@ -62,28 +55,11 @@ class RhoMatrix:
         if not self.convergence_ok():
             raise DomainError("rho violates the convergence inequalities")
 
-    def reduce_k(self, k: int) -> "RhoMatrix":
-        """Delete row/column k; rho_ii -> R_ik/rho_kk, rho_ij -> T_ijk/rho_kk."""
-        if self.d < 2:
-            raise DomainError("reduce_k needs d >= 2")
-        a = self.array()
-        if a[k, k] == 0:
-            raise SingularMatrixError("rho_kk = 0 in reduce_k")
-        idx = [i for i in range(self.d) if i != k]
-        out = np.empty((self.d - 1, self.d - 1), dtype=complex)
-        for p, i in enumerate(idx):
-            for q, j in enumerate(idx):
-                out[p, q] = self.minor_R(i, k) / a[k, k] if i == j else self.minor_T(i, j, k) / a[k, k]
-        return RhoMatrix.from_array(out)
-
     def flip_k(self, k: int) -> "RhoMatrix":
         """Negate the off-diagonal entries in row/column k (an involution)."""
-        a = self.array()
-        for i in range(self.d):
-            if i != k:
-                a[i, k] = -a[i, k]
-                a[k, i] = -a[k, i]
-        return RhoMatrix.from_array(a)
+        sign = np.ones(self.d)
+        sign[k] = -1.0
+        return RhoMatrix.from_array(sign[:, None] * self.array() * sign)
 
     def inverse(self) -> np.ndarray:
         """rho^{-1}; SingularMatrixError when its numerical rank (numpy's SVD test) is below d."""
@@ -93,14 +69,43 @@ class RhoMatrix:
         return np.linalg.inv(a)
 
 
+def marginal(rho: RhoMatrix, axes, s):
+    """The axes S of e^{-x.rho x + s.x/2} integrated out, at each row of s (shape (n, d)).
+
+    With A = rho_SS and B = rho_SR over the remaining axes R, returns (g, rho', s'):
+    the factors g = sqrt(pi^|S| / det A) e^{s_S A^-1 s_S / 16} (principal root), shape
+    (n,); the Schur complement rho' = rho_RR - B^T A^-1 B, None when R is empty; and the
+    shifted arguments s' = s_R - B^T A^-1 s_S, shape (n, |R|).  So the integral over
+    the axes S is g e^{-x_R.rho' x_R + s'.x_R/2}.  SingularMatrixError when A is
+    singular; the convergence of the integral is the caller's to check.
+    """
+    k = len(axes)
+    order = [*axes, *(i for i in range(rho.d) if i not in axes)]  # the axes S first
+    a = rho.array().take(order, 0).take(order, 1)
+    s = np.asarray(s, dtype=complex).take(order, 1)
+    block, coupling, s_int = a[:k, :k], a[:k, k:], s[:, :k]
+    try:
+        inv = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(f"rho is singular on the axes {list(axes)}") from None
+    g = np.sqrt(np.pi**k / np.linalg.det(block)) * np.exp(np.einsum("ni,ij,nj->n", s_int, inv, s_int) / 16.0)
+    if k == rho.d:
+        return g, None, s[:, k:]
+    solved = inv @ coupling
+    schur = a[k:, k:] - coupling.T @ solved
+    # symmetrised: rounding may leave B^T A^-1 B off symmetric, and a RhoMatrix must be exactly so
+    return g, RhoMatrix.from_array((schur + schur.T) / 2), s[:, k:] - s_int @ solved
+
+
 def closed_form_e(rho: RhoMatrix, s) -> complex:
-    """e(rho, s) = sqrt(pi^d / det rho) exp(s . rho^{-1} s / 16), principal root."""
+    """e(rho, s) = sqrt(pi^d / det rho) exp(s . rho^{-1} s / 16), principal root: `marginal`
+    over every axis."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if s.size != rho.d:
         raise DomainError(f"s has length {s.size}, expected {rho.d}")
-    inv = rho.inverse()  # a singular rho is refused before the convergence test
+    rho.inverse()  # a singular rho is refused before the convergence test
     rho.require_convergent()
-    return complex(np.sqrt(np.pi**rho.d / rho.det()) * np.exp(s @ inv @ s / 16.0))
+    return complex(marginal(rho, range(rho.d), s[None])[0][0])
 
 
 def rescale_class(rho: RhoMatrix, s, lam):

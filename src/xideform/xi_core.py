@@ -55,6 +55,13 @@ def _count_transforms(n: int):
         tally[0] += n
 
 
+def _log_power(m) -> int:
+    """m, a power of ln t, as an int; DomainError unless it is a non-negative integer."""
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise DomainError(f"log powers must be non-negative integers, got {m!r}")
+    return int(m)
+
+
 def _check_range(top: float) -> float:
     """top, the largest real exponent about to be exponentiated; DomainError past _EXP_LIMIT."""
     if top > _EXP_LIMIT:
@@ -163,9 +170,9 @@ def gaussian_mellin(rho, a, m: int = 0, spec: QuadSpec | None = None) -> XiValue
     accurate relative to its own (possibly tiny) scale.
     """
     spec = spec or QuadSpec()
-    rho, a = complex(rho), complex(a)
-    if rho.real <= 0 or m < 0:
-        raise DomainError("gaussian_mellin needs Re(rho) > 0 and m >= 0")
+    rho, a, m = complex(rho), complex(a), _log_power(m)
+    if rho.real <= 0:
+        raise DomainError("gaussian_mellin needs Re(rho) > 0")
     z = 1j * (a / (2 * rho)).imag
 
     def node_sums(x):
@@ -196,8 +203,7 @@ def mellin_many(op: ThetaOperator, rho, args, m: int = 0,
     PrecisionWarning.  Returns (values, error bound), the bound being the largest
     per-argument estimate; no arguments give (an empty array, 0.0).
     """
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    m = _log_power(m)
     spec = spec or QuadSpec()
     rho = complex(rho)
     args = np.atleast_1d(np.asarray(args, dtype=complex))

@@ -21,7 +21,7 @@ from .errors import DomainError
 from .gaussmat import RhoMatrix
 from .quadrature import QuadSpec, trapezoid
 from .theta import ThetaOperator
-from .xi_core import XiValue, _check_range, _count_transforms, _window, node_data
+from .xi_core import XiValue, _check_range, _count_transforms, _log_power, _window, node_data
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,22 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
     """The trapezoid rule for prod_i t_i^{s_i/2} K(t_i) exp(-sum rho_ij ln t_i ln t_j).
 
     K is Psi (theta variant) or Delta_4 Psi (jensen).  `powers` optionally inserts
-    prod_i (ln t_i)^{p_i} for the log-moment (heat-equation) integrals.  Axis i is
-    planned like a 1D integral whose Gaussian is the marginal one, 1/((Re rho)^-1)_ii,
-    whose window also covers the left-tail slope that the coupling leaves on it, and
-    whose frequency includes the coupling's 2 |Im rho_ij| max|x_j|.
+    prod_i (ln t_i)^{p_i} for the log-moment (heat-equation) integrals; it must hold d
+    non-negative integers (DomainError).  Axis i is planned like a 1D integral whose
+    Gaussian is the marginal one, 1/((Re rho)^-1)_ii, whose window also covers the
+    left-tail slope that the coupling leaves on it, and whose frequency includes the
+    coupling's 2 |Im rho_ij| max|x_j|.
     """
     rho = params.rho
+    d = rho.d
+    powers = (0,) * d if powers is None else tuple(map(_log_power, powers))
+    if len(powers) != d:
+        raise DomainError(f"powers has length {len(powers)}, expected d = {d}")
     rho.require_convergent()
     _count_transforms(1)
-    d = rho.d
     spec = spec or QuadSpec.for_dimension(d)
     a = rho.array()
     s = np.array(params.s, dtype=complex)
-    powers = tuple(powers) if powers is not None else (0,) * d
     op = _axis_operator(params.variant)
     inverse = np.linalg.inv(a.real)
     marginal = 1.0 / np.diag(inverse)
@@ -129,6 +132,13 @@ def jensen_xi_d(rho, s, spec: QuadSpec | None = None) -> XiValue:
     return xi_d(MultiXiParams.make(rho, s, "jensen"), spec)
 
 
+def _pair_powers(d: int, i: int, j: int) -> list:
+    """The powers that insert ln t_i ln t_j; DomainError unless i and j are axes, in range(d)."""
+    if i not in range(d) or j not in range(d):
+        raise DomainError(f"axes ({i}, {j}) must lie in range({d})")
+    return [(a == i) + (a == j) for a in range(d)]
+
+
 def heat_residual_multi(rho, s, i: int, j: int, spec: QuadSpec | None = None) -> float:
     """|d_rho_ij Xi + 8/(1+delta_ij) d^2_{s_i s_j} Xi|, both as one log-moment integral.
 
@@ -137,11 +147,7 @@ def heat_residual_multi(rho, s, i: int, j: int, spec: QuadSpec | None = None) ->
     at 1e-12 yet (a central finite difference in rho_ij agrees to about 1e-6).
     """
     params = MultiXiParams.make(rho, s, "theta")
-    d = params.rho.d
-    powers = [0] * d
-    powers[i] += 1
-    powers[j] += 1
-    moment = xi_d(params, spec, powers=powers).value
+    moment = xi_d(params, spec, powers=_pair_powers(params.rho.d, i, j)).value
     delta = 1.0 if i == j else 0.0
     lhs = -(2.0 - delta) * moment
     rhs = (8.0 / (1.0 + delta)) * moment / 4.0
@@ -151,9 +157,6 @@ def heat_residual_multi(rho, s, i: int, j: int, spec: QuadSpec | None = None) ->
 def d_rho_ij_xi_d(rho, s, i: int, j: int, spec: QuadSpec | None = None) -> XiValue:
     """d/d rho_ij of Xi(rho, s) as a log-moment integral (for cross-checks)."""
     params = MultiXiParams.make(rho, s, "theta")
-    powers = [0] * params.rho.d
-    powers[i] += 1
-    powers[j] += 1
-    base = xi_d(params, spec, powers=powers)
+    base = xi_d(params, spec, powers=_pair_powers(params.rho.d, i, j))
     scale = 1.0 if i == j else 2.0
     return XiValue(-scale * base.value, scale * base.quad_error)

@@ -570,6 +570,6 @@ def test_fun1_closed_part_is_the_four_exponential_combination(gamma, rho12, s1, 
     # fun1's Gaussian group at rho11 = rho22 = gamma is e(rho, s)/4 times the bracket whose
     # roots the rho12_roots family gives
     rho = RhoMatrix.from_array([[gamma, rho12], [rho12, gamma]])
-    closed = funceq._fun1_closed(rho, s1, s2)
+    closed = funceq._corner_sum(rho, [s1, s2])
     ref = closed_form_e(rho, [s1, s2]) / 4 * four_exponential_combination(gamma, rho12, s1, s2)
     assert abs(closed - ref) <= 1e-13 * abs(ref)

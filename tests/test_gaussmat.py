@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xideform.errors import DomainError, SingularMatrixError
-from xideform.gaussmat import RhoMatrix, closed_form_e, rescale_class
+from xideform.gaussmat import RhoMatrix, closed_form_e, marginal, rescale_class
 from xideform.quadrature import QuadSpec, trapezoid
 
 SQRT_PI = math.sqrt(math.pi)
@@ -48,17 +51,30 @@ def test_closed_form_d2_explicit():
     assert closed_form_e(rho, [s1, s2]) == pytest.approx(expected, rel=1e-14)
 
 
+def minor_R(rho: RhoMatrix, i: int, k: int) -> complex:
+    """The 2 x 2 principal minor R_ik = rho_ii rho_kk - rho_ik^2, the reference for the
+    Schur complements of `marginal`."""
+    a = rho.array()
+    return complex(a[i, i] * a[k, k] - a[i, k] ** 2)
+
+
+def minor_T(rho: RhoMatrix, i: int, j: int, k: int) -> complex:
+    """The 2 x 2 minor T_ijk = rho_ij rho_kk - rho_ik rho_jk."""
+    a = rho.array()
+    return complex(a[i, j] * a[k, k] - a[i, k] * a[j, k])
+
+
 def quadratic_form_minors(rho: RhoMatrix, s) -> complex:
     """d=3 s . rho^{-1} s written through the minors:
 
     (sum_k s_k^2 R_{ij(k)} - 2 sum_{i<j} s_i s_j T_{ij k(ij)}) / det(rho).
     """
     num = (
-        s[0] ** 2 * rho.minor_R(1, 2)
-        + s[1] ** 2 * rho.minor_R(0, 2)
-        + s[2] ** 2 * rho.minor_R(0, 1)
-        - 2.0 * (s[0] * s[1] * rho.minor_T(0, 1, 2) + s[0] * s[2] * rho.minor_T(0, 2, 1)
-                 + s[1] * s[2] * rho.minor_T(1, 2, 0))
+        s[0] ** 2 * minor_R(rho, 1, 2)
+        + s[1] ** 2 * minor_R(rho, 0, 2)
+        + s[2] ** 2 * minor_R(rho, 0, 1)
+        - 2.0 * (s[0] * s[1] * minor_T(rho, 0, 1, 2) + s[0] * s[2] * minor_T(rho, 0, 2, 1)
+                 + s[1] * s[2] * minor_T(rho, 1, 2, 0))
     )
     return complex(num / rho.det())
 
@@ -113,32 +129,35 @@ def test_convergence_ok_is_the_principal_minor_criterion(d):
 
 
 def test_minor_symmetries():
+    # the reference minors, and the Schur complement built from them, are symmetric
     rho = RhoMatrix.from_array([[1.2, 0.3, -0.2], [0.3, 0.9, 0.1], [-0.2, 0.1, 1.4]])
-    assert rho.minor_R(0, 2) == rho.minor_R(2, 0)
-    assert rho.minor_T(0, 1, 2) == rho.minor_T(1, 0, 2)
+    assert minor_R(rho, 0, 2) == minor_R(rho, 2, 0)
+    assert minor_T(rho, 0, 1, 2) == minor_T(rho, 1, 0, 2)
     d2 = RhoMatrix.from_array([[1.0, 0.4], [0.4, 0.9]])
-    assert d2.minor_R(0, 1) == pytest.approx(d2.det())
+    assert minor_R(d2, 0, 1) == pytest.approx(d2.det())
+    _, red, _ = marginal(rho, [2], np.zeros((1, 3)))
+    assert red.entries[0][1] == red.entries[1][0]
 
 
 def test_reduce_k_d2():
     rho = RhoMatrix.from_array([[1.0, 0.3], [0.3, 0.8]])
-    red = rho.reduce_k(1)
+    _, red, _ = marginal(rho, [1], np.zeros((1, 2)))
     assert red.d == 1
     assert red.entries[0][0] == pytest.approx(rho.det() / 0.8)
 
 
 def test_reduce_k_d3():
     rho = RhoMatrix.from_array([[1.2, 0.3, -0.2], [0.3, 0.9, 0.1], [-0.2, 0.1, 1.4]])
-    red = rho.reduce_k(0)
+    _, red, _ = marginal(rho, [0], np.zeros((1, 3)))
     a = rho.array()
-    assert red.entries[0][0] == pytest.approx(rho.minor_R(1, 0) / a[0, 0])
-    assert red.entries[1][1] == pytest.approx(rho.minor_R(2, 0) / a[0, 0])
-    assert red.entries[0][1] == pytest.approx(rho.minor_T(1, 2, 0) / a[0, 0])
+    assert red.entries[0][0] == pytest.approx(minor_R(rho, 1, 0) / a[0, 0])
+    assert red.entries[1][1] == pytest.approx(minor_R(rho, 2, 0) / a[0, 0])
+    assert red.entries[0][1] == pytest.approx(minor_T(rho, 1, 2, 0) / a[0, 0])
 
 
 def test_reduce_k_diagonal_unchanged():
     rho = RhoMatrix.from_array(np.diag([0.5, 1.0, 2.0]))
-    red = rho.reduce_k(1)
+    _, red, _ = marginal(rho, [1], np.zeros((1, 3)))
     assert np.allclose(red.array(), np.diag([0.5, 2.0]))
 
 
@@ -149,9 +168,63 @@ def test_reduce_marginalization_consistency():
     k = 2
     a = rho.array()
     shifted = np.array([s[i] - s[k] * a[i, k] / a[k, k] for i in range(3) if i != k])
+    g, red, s_red = marginal(rho, [k], s[None])
+    assert np.allclose(s_red[0], shifted, rtol=1e-15, atol=0)
+    assert g[0] == pytest.approx(np.sqrt(np.pi / a[k, k]) * np.exp(s[k] ** 2 / (16 * a[k, k])), rel=1e-15)
     lhs = closed_form_e(rho, s)
-    rhs = np.sqrt(np.pi / a[k, k]) * np.exp(s[k] ** 2 / (16 * a[k, k])) * closed_form_e(rho.reduce_k(k), shifted)
+    rhs = np.sqrt(np.pi / a[k, k]) * np.exp(s[k] ** 2 / (16 * a[k, k])) * closed_form_e(red, shifted)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), re_s=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       im_s=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_marginal_times_the_reduced_closed_form_is_the_closed_form(d, seed, re_s, im_s):
+    # integrating the axes S out and then the rest gives the all-axes closed form, for
+    # every nonempty proper subset S; the Schur complement of a convergent rho converges
+    rho = random_convergent_rho(np.random.default_rng(seed), d)
+    s = np.array([complex(x, y) for x, y in zip(re_s[:d], im_s[:d])])
+    whole = closed_form_e(rho, s)
+    for size in range(1, d):
+        for axes in itertools.combinations(range(d), size):
+            g, red, s_red = marginal(rho, axes, s[None])
+            assert red.d == d - size and s_red.shape == (1, d - size)
+            assert abs(g[0] * closed_form_e(red, s_red[0]) - whole) <= 1e-13 * abs(whole), axes
+
+
+def test_schur_complement_is_the_minor_reduction():
+    # one axis k: rho'_ii = R_ik / rho_kk, rho'_ij = T_ijk / rho_kk and s'_i = s_i - s_k rho_ik / rho_kk;
+    # a pair (i, j) leaving k: rho' = det rho / R_ij and s'_k = s_k - (s_i T_kij + s_j T_kji) / R_ij
+    rho = RhoMatrix.from_array([[1.2, 0.3 + 0.1j, -0.2], [0.3 + 0.1j, 0.9, 0.1 - 0.05j], [-0.2, 0.1 - 0.05j, 1.4]])
+    a = rho.array()
+    s = np.array([[0.5 + 0.3j, -0.2, 0.8], [0.1, 0.4 - 0.7j, -1.1]])
+    for k in range(3):
+        rest = [i for i in range(3) if i != k]
+        _, red, shifted = marginal(rho, [k], s)
+        for p, i in enumerate(rest):
+            for q, j in enumerate(rest):
+                ref = minor_R(rho, i, k) if i == j else minor_T(rho, i, j, k)
+                assert red.entries[p][q] == pytest.approx(ref / a[k, k], rel=1e-14)
+            assert np.allclose(shifted[:, p], s[:, i] - s[:, k] * a[i, k] / a[k, k], rtol=1e-14, atol=0)
+    for i, j in itertools.combinations(range(3), 2):
+        (k,) = {0, 1, 2} - {i, j}
+        g, red, shifted = marginal(rho, (i, j), s)
+        rij = minor_R(rho, i, j)
+        assert red.entries[0][0] == pytest.approx(rho.det() / rij, rel=1e-14)
+        ref = s[:, k] - (s[:, i] * minor_T(rho, k, i, j) + s[:, j] * minor_T(rho, k, j, i)) / rij
+        assert np.allclose(shifted[:, 0], ref, rtol=1e-14, atol=0)
+        quad = (a[j, j] * s[:, i] ** 2 + a[i, i] * s[:, j] ** 2 - 2 * a[i, j] * s[:, i] * s[:, j]) / rij
+        assert np.allclose(g, np.pi / np.sqrt(rij) * np.exp(quad / 16), rtol=1e-14, atol=0)
+
+
+def test_marginal_of_a_singular_block_is_refused():
+    with pytest.raises(SingularMatrixError):
+        marginal(RhoMatrix.from_array([[0.0, 0.5], [0.5, 1.0]]), [0], np.zeros((1, 2)))
+    rho = RhoMatrix.from_array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        marginal(rho, (0, 1), np.zeros((1, 3)))
+    marginal(rho, (0, 2), np.zeros((1, 3)))  # a nonsingular block of the same matrix
 
 
 def test_flip_involution_and_det():

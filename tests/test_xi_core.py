@@ -25,6 +25,7 @@ from xideform.xi_core import (
     xi_tilde,
     xi_tilde_sum_m,
 )
+from xideform.xi_multi import MultiXiParams, xi_d
 
 SQRT_PI = math.sqrt(math.pi)
 # Delta4 H4 = (16 D^2 + 8 D)(1 + 4 D) = 64 D^3 + 48 D^2 + 8 D
@@ -61,10 +62,23 @@ def test_mellin_kernel_validation():
         gaussian_mellin(1.0, 0.0, -1)
 
 
-@pytest.mark.parametrize("call", [lambda: mellin(ThetaOperator.plain(), 1.0, 0.5, -1),
-                                  lambda: mellin_many(ThetaOperator.plain(), 1.0, [0.5], -1)],
-                         ids=["mellin", "mellin_many"])
+D2 = MultiXiParams.make([[1.0, 0.2], [0.2, 0.8]], [0.4, 0.6])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mellin(ThetaOperator.plain(), 1.0, 0.5, -1),
+    lambda: mellin_many(ThetaOperator.plain(), 1.0, [0.5], -1),
+    lambda: mellin_many(ThetaOperator.plain(), 1.0, [0.5], 0.5),
+    lambda: xi_ds(1.0, 0.5 + 2j, 1.5),
+    lambda: gaussian_mellin(1.0, 0.0, 0.5),
+    lambda: xi_d(D2, powers=[-1, 0]),
+    lambda: xi_d(D2, powers=[0.5, 0]),
+    lambda: xi_d(D2, powers=[1, 2, 3]),
+    lambda: xi_d(D2, powers=[1]),
+], ids=["mellin", "mellin_many", "mellin_many_fractional", "xi_ds_fractional", "gaussian_mellin_fractional",
+        "xi_d_negative", "xi_d_fractional", "xi_d_too_many", "xi_d_too_few"])
 def test_negative_log_power_is_a_domain_error(call):
+    # a log power is a non-negative integer, and xi_d takes one per axis
     with pytest.raises(DomainError):
         call()
 

@@ -114,6 +114,16 @@ def test_heat_residual_multi_same_moment():
     assert heat_residual_multi(rho, s, 0, 1) < 1e-12
 
 
+@pytest.mark.parametrize("i, j", [(0, 5), (2, 0), (-1, 0), (0, -1)])
+def test_log_moment_axes_outside_range_d_are_a_domain_error(i, j):
+    # an axis index lies in range(d): d = 2 here
+    rho, s = [[1.0, 0.2], [0.2, 1.0]], [0.7, 1.1]
+    with pytest.raises(DomainError):
+        d_rho_ij_xi_d(rho, s, i, j)
+    with pytest.raises(DomainError):
+        heat_residual_multi(rho, s, i, j)
+
+
 def test_heat_multi_finite_difference():
     rho = np.array([[1.0, 0.2], [0.2, 1.0]])
     s = [0.7, 1.1]
