@@ -57,7 +57,8 @@ class QuadSpec:
 class IntegralResult:
     """value, error_estimate and peak_mass are arrays when the integrand is vector-valued.
 
-    peak_mass is the largest integrand modulus times the volume of the box.
+    peak_mass is node_sums' modulus figure (the largest integrand modulus, or the mean
+    modulus) times the volume of the box.
     """
 
     value: complex
@@ -72,12 +73,14 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
 
     x_lo, x_hi and omega are scalars (d = 1) or per-axis sequences (d <= 3).  node_sums(x_1,
     ..., x_d) returns (sum of the integrand over the tensor product of the node arrays,
-    largest modulus there), both scalars or both arrays over the integrand's
-    components.  The first step along axis i is h_i = 2^-ceil(log2((omega_i + c) / pi))
-    with c = (2/pi) ln(1/abs_tol): the transform decays like e^{-pi |Im a| / 2} along
-    the strip, so the nearest alias, 2 pi / h_i above the oscillation frequency
+    a modulus figure), both scalars or both arrays over the integrand's components.
+    The modulus figure is the largest modulus there, or the mean modulus
+    sum |f| / (node count), which makes the rounding floor below 1e-16 int |f|.  The
+    first step along axis i is h_i = 2^-ceil(log2((omega_i + c) / pi)) with
+    c = (2/pi) ln(1/abs_tol): the transform decays like e^{-pi |Im a| / 2} along the
+    strip, so the nearest alias, 2 pi / h_i above the oscillation frequency
     omega_i, is below abs_tol even at step 2 h_i.  The error estimate is |T_h - T_2h|
-    plus a rounding floor, 1e-16 times the largest term times the volume; T_2h is the
+    plus a rounding floor, 1e-16 times the modulus figure times the volume; T_2h is the
     sum over the all-even subgrid already held.  h is halved, evaluating only the
     2^d - 1 parity classes of new nodes (the odd nodes at d = 1), until the estimate
     is within max(abs_tol, rel_tol |T_h|, rounding floor) for every component;

@@ -26,6 +26,10 @@ from .theta import LOG_TAIL_SPLIT, ThetaOperator, log_values
 # Largest real exponent we allow inside exp() before declaring the evaluation
 # out of double-precision range.
 _EXP_LIMIT = 705.0
+# Largest gap between an upper bound of that exponent and a lower bound of it read at one
+# node, when a sum is scaled by the upper bound: the terms within 1e-16 of the true top
+# (e^-37 below it) then stay above the smallest normal double, e^-708.
+_GAP_LIMIT = 600.0
 
 # Cancellation ratio (integrand peak mass / |result|) beyond which a PrecisionWarning
 # is emitted: the absolute floor is then about 1e-16 * ratio.
@@ -62,10 +66,14 @@ def _log_power(m) -> int:
     return int(m)
 
 
-def _check_range(top: float) -> float:
-    """top, the largest real exponent about to be exponentiated; DomainError past _EXP_LIMIT."""
+def _check_range(top: float, lower: float | None = None) -> float:
+    """top, the largest real exponent about to be exponentiated or an upper bound of it;
+    DomainError past _EXP_LIMIT, or when lower, a lower bound of the true top, lies more
+    than _GAP_LIMIT below it."""
     if top > _EXP_LIMIT:
         raise DomainError(f"integrand magnitude exp({top:.1f}) exceeds double range")
+    if lower is not None and top - lower > _GAP_LIMIT:
+        raise DomainError(f"integrand exponent bounds {lower:.1f} and {top:.1f} are too far apart to scale by one")
     return top
 
 

@@ -4,10 +4,15 @@ The integrand factorizes per axis up to the off-diagonal coupling
 exp(-2 sum_{i<j} rho_ij x_i x_j).  Each axis contributes `xi_core.node_data` times
 e^{s_i x / 2} in polar form (a phase and a real log-magnitude, to survive the
 t^{-1/2}/2 growth of the theta sum far on the left), and the node sums of the
-shared log-axis trapezoid rule contract them through the coupling: a matrix product
-at d = 2, one tensor contraction at d = 3.  The exponent tensor is real, built from Re rho_ij; an imaginary coupling
-enters as the pair phase factors exp(-2i Im rho_ij x_i x_j), each over two axes,
-multiplied in after the exponential.  The rule's |T_h - T_2h| is the error estimate.
+shared log-axis trapezoid rule contract them through the coupling.  The Gaussian
+couples the axes only in pairs, so no node sum builds an array over more than two
+axes: at d = 2 the real exponent over the grid is the one pair factor, exponentiated
+and contracted with the phases as matrix products; at d = 3 the integrand is the
+product E12 E13 E23 of three two-axis factors, each exponentiated less its own
+maximum, and the sum is one matrix product, sum_ik E13 (E12 @ E23) (`_pair_sum`), so a
+grid of N nodes per axis costs O(N^2) memory.  The exponents are real, built from Re rho_ij; an imaginary
+coupling enters as the pair phase factors exp(-2i Im rho_ij x_i x_j), multiplied in
+after the exponential.  The rule's |T_h - T_2h| is the error estimate.
 """
 
 from __future__ import annotations
@@ -58,6 +63,42 @@ def _polar(values, exponent):
     return phase, exponent + np.where(ok, np.log(np.maximum(mag, 1e-300)), -np.inf)
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _pair_sum(xs, data, a):
+    """(node sum, mean modulus) of the d = 3 integrand over the tensor product of the node
+    arrays xs, from its three pair factors, with no three-axis array.
+
+    data[j] is axis j's (phase phi_j, log-magnitude l_j) from `_polar`, a the coupling
+    matrix.  The real exponent splits into P12 = l_1 (+) l_2 - 2 Re a_12 x_1 x_2,
+    P13 = -2 Re a_13 x_1 x_3 and P23 = l_3 (on its columns) - 2 Re a_23 x_2 x_3.  Each is
+    exponentiated less its own maximum m_ij into R_ij, and E_ij is R_ij times the pair
+    phase exp(-2i Im a_ij x_i x_j), with phi_1 (x) phi_2 folded into E12 and phi_3 into
+    E23.  The sum is e^{m12+m13+m23} sum_ik E13 (E12 @ E23), and sum |f| is the same product
+    of the R_ij (|phi_j| is 1 wherever l_j is finite); divided by the node count it makes
+    the trapezoid's rounding floor 1e-16 int |f|.  m12 + m13 + m23 bounds the top exponent
+    from above and the argmax of P12 with its best x_3 node from below (`_check_range`).
+    An axis whose data underflows everywhere (l_j = -inf) gives (0, 0).
+    """
+    (phi1, l1), (phi2, l2), (phi3, l3) = data
+    outers = [np.multiply.outer(xs[i], xs[j]) for i, j in _PAIRS]
+    expos = [base - 2 * a[i, j].real * outer
+             for base, (i, j), outer in zip((l1[:, None] + l2, 0.0, l3), _PAIRS, outers)]
+    tops = [float(np.max(p)) for p in expos]
+    if -math.inf in tops:
+        return 0j, 0.0
+    row, col = np.unravel_index(np.argmax(expos[0]), expos[0].shape)
+    top = _check_range(sum(tops), tops[0] + float(np.max(expos[1][row] + expos[2][col])))
+    r12, r13, r23 = (np.exp(p - m) for p, m in zip(expos, tops))
+    e12, e13, e23 = (np.exp(-2j * a[i, j].imag * outer) * r if a[i, j].imag else r
+                     for (i, j), outer, r in zip(_PAIRS, outers, (r12, r13, r23)))
+    total = np.sum(e13 * ((e12 * np.multiply.outer(phi1, phi2)) @ (e23 * phi3)))
+    mass = np.sum(r13 * (r12 @ r23))
+    scale = math.exp(top)
+    return complex(scale * total), scale * mass / math.prod(x.size for x in xs)
+
+
 def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> XiValue:
     """The trapezoid rule for prod_i t_i^{s_i/2} K(t_i) exp(-sum rho_ij ln t_i ln t_j).
 
@@ -100,12 +141,15 @@ def xi_d(params: MultiXiParams, spec: QuadSpec | None = None, powers=None) -> Xi
         return held[j, id(x)][1]
 
     def node_sums(*xs):
-        # axis j of the tensor product runs along dimension j; its couplings to the
-        # earlier axes join its own exponent, so only two additions span all d axes
+        data = [axis_data(j, x) for j, x in enumerate(xs)]
+        if d == 3:
+            return _pair_sum(xs, data, a)
+        # d <= 2: the exponent over the grid is one axis or one pair factor; axis j runs
+        # along dimension j, its coupling to axis 0 joining its own exponent
         along = [x.reshape((-1,) + (1,) * (d - 1 - j)) for j, x in enumerate(xs)]
         phases, twists, expo = [], [], 0.0
         for j in range(d):
-            phase, term = axis_data(j, xs[j])
+            phase, term = data[j]
             term = term.reshape(along[j].shape)
             for i in range(j):
                 if a[i, j].real:

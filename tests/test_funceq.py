@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,18 @@ REGISTRY_CASES = {  # id: verify keywords of one passing input
     "tilde": dict(rho=0.5, s=0.7 + 0.5j),
     "iterated_expansion": dict(rho=1.0, s=0.9 + 12j, extras={"n": 2}),
 }
+
+
+def test_rewrite_3d_a_registry_input_needs_no_three_axis_array():
+    # its grid has 14.5M nodes; the d = 3 node sums hold two-axis factors only (about
+    # 3.5 MB at the peak), where one exponent tensor over the grid took 75 MB
+    tracemalloc.start()
+    try:
+        verify("rewrite_3d_a", **REGISTRY_CASES["rewrite_3d_a"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # Two ids compare values that agree to rounding: vop_constraint's lhs loses m_psi by

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xideform import quadrature, xi_multi
+from xideform import quadrature, xi_core, xi_multi
 from xideform.errors import DomainError, NonConvergenceError
 from xideform.funceq import IdentityId, sample_convergent_rho, verify
 from xideform.quadrature import QuadSpec
@@ -13,6 +15,7 @@ from xideform.xi_multi import (
     MultiXiParams,
     d_rho_ij_xi_d,
     heat_residual_multi,
+    _pair_sum,
     jensen_xi_d,
     xi_d,
 )
@@ -215,3 +218,75 @@ def test_mean_value_reduced_convolution():
     kernel = np.exp(-((q_nodes - s) ** 2) / (4 * (gamma - rho))) / math.sqrt(4 * math.pi * (gamma - rho))
     conv = (q_w * kernel * inner).sum()
     assert abs(conv - direct) < 1e-7 * max(1.0, abs(direct))
+
+
+def direct_sum(xs, data, a):
+    """(node sum, mean modulus) of the d = 3 integrand over the whole exponent tensor, the
+    reference for `_pair_sum`: the real exponent over every node, exponentiated, the pair
+    phases multiplied in and the axis phases contracted one axis at a time."""
+    along = [x.reshape((-1,) + (1,) * (2 - j)) for j, x in enumerate(xs)]
+    phases, twists, expo = [], [], 0.0
+    for j, (phase, logmag) in enumerate(data):
+        term = logmag.reshape(along[j].shape)
+        for i in range(j):
+            term = term - 2 * a[i, j].real * along[i] * along[j]
+            twists.append(np.exp(-2j * a[i, j].imag * along[i] * along[j]))
+        phases.append(phase)
+        expo = expo + term
+    modulus = total = np.exp(expo)
+    for twist in twists:
+        total = total * twist
+    for phase in reversed(phases):
+        total = total @ phase
+        modulus = modulus @ np.abs(phase)
+    return complex(total), float(modulus) / math.prod(x.size for x in xs)
+
+
+def _polar_axis(draw, x):
+    # log-magnitudes as `_polar` leaves them: finite (zero among them) or -inf where the
+    # value underflows, its phase then 0
+    logmag = np.array(draw(st.lists(st.one_of(st.floats(-8.0, 8.0), st.just(0.0), st.just(-math.inf)),
+                                    min_size=x.size, max_size=x.size)))
+    angle = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=x.size, max_size=x.size)))
+    return np.where(np.isfinite(logmag), np.exp(1j * angle), 0.0), logmag
+
+
+@st.composite
+def pair_sum_inputs(draw):
+    # every exponent is rounded to about |exponent| 1e-16 on either route, so the
+    # draws keep the exponents below about 50, where 1e-14 covers that
+    xs = [np.sort(np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7)))) for _ in range(3)]
+    data = [_polar_axis(draw, x) for x in xs]
+    part = st.one_of(st.floats(-0.5, 0.5), st.just(0.0))
+    a = np.zeros((3, 3), complex)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        a[i, j] = a[j, i] = complex(draw(part), draw(part))
+    return xs, data, a
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_sum_inputs())
+def test_pair_sum_matches_the_direct_tensor_sum(inputs):
+    xs, data, a = inputs
+    total, mass = _pair_sum(xs, data, a)
+    ref_total, ref_mass = direct_sum(xs, data, a)
+    assert abs(mass - ref_mass) <= 1e-14 * ref_mass
+    assert abs(total - ref_total) <= 1e-14 * ref_mass * math.prod(x.size for x in xs)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_pair_sum_of_an_all_underflow_axis_is_zero(axis):
+    xs = [np.linspace(-3.0, 3.0, n) for n in (4, 5, 6)]
+    data = [(np.exp(1j * x), -0.5 * x * x) for x in xs]
+    data[axis] = (np.zeros(xs[axis].size), np.full(xs[axis].size, -math.inf))
+    a = np.array([[1.0, 0.2 + 0.1j, -0.1], [0.2 + 0.1j, 1.0, 0.3j], [-0.1, 0.3j, 1.0]])
+    assert _pair_sum(xs, data, a) == (0j, 0.0)
+
+
+def test_d3_scaling_gap_past_its_limit_is_a_domain_error(monkeypatch):
+    # on this coupled draw the pair maxima sum to about 17 above the top node's exponent
+    params = MultiXiParams.make(sample_convergent_rho(3, 3, imag_scale=0.0), [0.4, 0.6, 0.3])
+    xi_d(params)
+    monkeypatch.setattr(xi_core, "_GAP_LIMIT", 10.0)
+    with pytest.raises(DomainError):
+        xi_d(params)
