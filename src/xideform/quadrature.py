@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
-# relative rounding of a double-precision sum, applied to its largest term
+# relative rounding of a double-precision sum, applied to its modulus figure
 _ROUNDING = 1e-16
 # node budget of the trapezoid rule at d = 1, 2, 3.
 # At d >= 2 it admits the grids of a nearly singular Re rho (0.19M nodes at d = 2 for a
@@ -75,7 +75,7 @@ def trapezoid(node_sums, x_lo, x_hi, omega, spec: QuadSpec) -> IntegralResult:
     ..., x_d) returns (sum of the integrand over the tensor product of the node arrays,
     a modulus figure), both scalars or both arrays over the integrand's components.
     The modulus figure is the largest modulus there, or the mean modulus
-    sum |f| / (node count), which makes the rounding floor below 1e-16 int |f|.  The
+    sum |f| / (node count), which makes the rounding floor 1e-16 int |f|.  The
     first step along axis i is h_i = 2^-ceil(log2((omega_i + c) / pi)) with
     c = (2/pi) ln(1/abs_tol): the transform decays like e^{-pi |Im a| / 2} along the
     strip, so the nearest alias, 2 pi / h_i above the oscillation frequency
